@@ -36,12 +36,12 @@ const L1Line* L1Cache::find(LineAddr line) const noexcept {
 }
 
 void L1Cache::touch(const L1Line& l) noexcept {
-  const auto idx = static_cast<std::size_t>(&l - lines_.data());
-  repl_.touch(static_cast<std::uint32_t>(idx / ways_),
-              static_cast<std::uint32_t>(idx % ways_));
+  const std::uint32_t set = set_of(l.line);
+  repl_.touch(set, static_cast<std::uint32_t>(&l - &at(set, 0)));
 }
 
-L1Line L1Cache::fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version) {
+L1Line L1Cache::fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version,
+                     L1Line** filled) {
   RACCD_DEBUG_ASSERT(find(line) == nullptr, "fill of already-resident line");
   const std::uint32_t set = set_of(line);
   std::uint32_t way = ways_;
@@ -61,6 +61,7 @@ L1Line L1Cache::fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t
   set_tag(set, way, line);
   ++valid_count_;
   repl_.touch(set, way);
+  if (filled != nullptr) *filled = &at(set, way);
   return evicted;
 }
 

@@ -67,7 +67,9 @@ class L1Cache {
 
   /// Install `line`; returns the displaced valid victim (valid=false if the
   /// set had a free way). The caller handles victim writeback/notification.
-  L1Line fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version);
+  /// `filled`, when non-null, receives the installed line.
+  L1Line fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version,
+              L1Line** filled = nullptr);
 
   /// Invalidate one line if present; returns the old contents (valid=false
   /// if the line was not resident).

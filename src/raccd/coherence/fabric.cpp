@@ -691,14 +691,16 @@ Cycle Fabric::upgrade_to_m(CoreId c, LineAddr line, Cycle now) {
 // Public operations
 // ---------------------------------------------------------------------------
 
-AccessOutcome Fabric::access(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now) {
+AccessOutcome Fabric::access(CoreId c, LineAddr line, L1Line* hit, bool is_write, bool nc,
+                             Cycle now) {
   RACCD_DEBUG_ASSERT(c < cfg_.cores, "core id out of range");
+  L1Cache& l1c = *l1_[c];
+  RACCD_DEBUG_ASSERT(hit == l1c.find(line), "stale L1 probe passed to access");
   ++st().l1_accesses;
   st().e_l1_pj += energy_.l1_access_pj();
-  L1Cache& l1c = *l1_[c];
   Cycle lat = cfg_.l1_hit_cycles;
 
-  if (L1Line* hit = l1c.find(line)) {
+  if (hit != nullptr) {
     ++st().l1_hits;
     l1c.touch(*hit);
     classifier_.record(line, hit->nc);
@@ -741,9 +743,9 @@ AccessOutcome Fabric::access(CoreId c, LineAddr line, bool is_write, bool nc, Cy
       nc ? nc_miss(c, line, is_write, now + lat) : coherent_miss(c, line, is_write, now + lat);
   lat += r.latency;
 
-  const L1Line victim = l1c.fill(line, nc, r.grant, /*dirty=*/false, r.version);
+  L1Line* nl = nullptr;
+  const L1Line victim = l1c.fill(line, nc, r.grant, /*dirty=*/false, r.version, &nl);
   if (victim.valid) handle_l1_victim(c, victim, now + lat);
-  L1Line* nl = l1c.find(line);
   if (is_write) {
     store_version_bump(*nl, line);
   } else if (checker_ != nullptr) {

@@ -101,7 +101,13 @@ class Fabric {
 
   /// One load/store by core `c` to physical line `line` at time `now`.
   /// `nc` is the caller's classification (NCRT hit, or PT private page).
-  AccessOutcome access(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now);
+  AccessOutcome access(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now) {
+    return access(c, line, l1_[c]->find(line), is_write, nc, now);
+  }
+  /// As above, for a caller that already probed core `c`'s L1: `hit` is
+  /// l1(c).find(line), still current (nullptr on a miss).
+  AccessOutcome access(CoreId c, LineAddr line, L1Line* hit, bool is_write, bool nc,
+                       Cycle now);
 
   /// Account `n` run-length-merged repeat accesses as guaranteed L1 hits
   /// (the trace replayer proves residency; see trace/access_trace.hpp).

@@ -1,9 +1,11 @@
 #include "raccd/service/arrivals.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "raccd/common/format.hpp"
 #include "raccd/common/rng.hpp"
@@ -14,6 +16,17 @@ namespace {
 [[nodiscard]] std::vector<Cycle> fail(std::string* error, std::string msg) {
   if (error) *error = std::move(msg);
   return {};
+}
+
+/// One decimal field of a schedule line, optionally space-padded. Rejects a
+/// sign, trailing characters and values past 2^64-1, all of which strtoull
+/// would silently accept ("-5" wraps, "12abc" reads as 12, overflow clamps).
+[[nodiscard]] bool parse_field(std::string_view s, std::uint64_t& v) {
+  constexpr std::string_view kSpace = " \t\r";
+  s.remove_prefix(std::min(s.find_first_not_of(kSpace), s.size()));
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  s.remove_prefix(static_cast<std::size_t>(end - s.data()));
+  return ec == std::errc{} && s.find_first_not_of(kSpace) == std::string_view::npos;
 }
 
 /// Exponential inter-arrival gap with the given mean (inverse CDF on the
@@ -105,14 +118,18 @@ bool parse_schedule(const std::string& text, std::vector<Cycle>& out,
     if (error) *error = "schedule file missing release count";
     return false;
   }
-  const std::uint64_t count = std::strtoull(line.c_str(), nullptr, 10);
-  out.reserve(count);
+  std::uint64_t count = 0;
+  if (!parse_field(line, count)) {
+    if (error) *error = strprintf("bad release count '%s'", line.c_str());
+    return false;
+  }
+  // No reserve(count): the declared count is checked against the body only
+  // after reading it, so it must never size an allocation.
   Cycle prev = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    char* end = nullptr;
-    const Cycle c = std::strtoull(line.c_str(), &end, 10);
-    if (end == line.c_str()) {
+    Cycle c = 0;
+    if (!parse_field(line, c)) {
       if (error) *error = strprintf("bad release cycle '%s'", line.c_str());
       return false;
     }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "raccd/common/assert.hpp"
+#include "raccd/common/bits.hpp"
 #include "raccd/common/format.hpp"
 #include "raccd/metrics/histogram.hpp"
 #include "raccd/obs/trace_sink.hpp"
@@ -125,7 +126,6 @@ namespace {
 
 Machine::Machine(const SimConfig& cfg)
     : cfg_(finalized(cfg)),
-      legacy_(legacy_structures()),
       checker_(/*strict=*/true),
       fabric_(cfg_.fabric, cfg_.enable_checker ? &checker_ : nullptr),
       adr_(fabric_, cfg_.adr),
@@ -136,6 +136,9 @@ Machine::Machine(const SimConfig& cfg)
     tlbs_.emplace_back(cfg_.tlb_entries);
   }
   cores_.resize(cfg_.fabric.cores);
+  RACCD_ASSERT(cores_.size() <= (1u << kRunCoreBits), "run queue packs core ids in 6 bits");
+  run_leaves_ = ceil_pow2(cores_.size());
+  run_tree_.assign(2 * run_leaves_, kRunAsleep);
   sampling_on_ = cfg_.sampling.enabled;
   if (sampling_on_) {
     ffwd_near_tasks_ = 2ULL * cfg_.fabric.cores;
@@ -193,14 +196,12 @@ TaskId Machine::spawn(TaskDesc desc) {
   return rt_.create_task(std::move(desc));
 }
 
-CoreId Machine::pop_min_clock_core() {
-  while (!run_heap_.empty()) {
-    const auto [clock, c] = run_heap_.top();
-    run_heap_.pop();
-    const CoreState& cs = cores_[c];
-    if (!cs.sleeping && cs.clock == clock) return c;
-  }
-  return kNoCore;
+void Machine::update_run_key(CoreId c) {
+  const CoreState& cs = cores_[c];
+  RACCD_ASSERT(cs.clock < (Cycle{1} << (64 - kRunCoreBits)), "clock overflows run key");
+  std::size_t i = run_leaves_ + c;
+  run_tree_[i] = cs.sleeping ? kRunAsleep : (cs.clock << kRunCoreBits) | c;
+  for (; i > 1; i >>= 1) run_tree_[i >> 1] = std::min(run_tree_[i], run_tree_[i ^ 1]);
 }
 
 void Machine::wake_sleepers(Cycle at) {
@@ -209,7 +210,7 @@ void Machine::wake_sleepers(Cycle at) {
     if (cs.sleeping) {
       cs.sleeping = false;
       cs.clock = std::max(cs.clock, at);
-      run_heap_.emplace(cs.clock, c);
+      update_run_key(c);
     }
   }
 }
@@ -224,69 +225,43 @@ void Machine::taskwait() {
   // Open-loop releases are anchored to this phase: a task with release r
   // becomes schedulable at absolute cycle phase_start + r, exactly.
   rt_.set_release_base(phase_start);
-  run_heap_ = {};
   for (CoreId c = 0; c < cores_.size(); ++c) {
     cores_[c].clock = phase_start;
     cores_[c].sleeping = false;
-    run_heap_.emplace(phase_start, c);
+    update_run_key(c);
   }
+  // Each iteration either releases one batch of gated tasks or steps the
+  // awake core with the lowest (clock, id) — the run queue's root — and
+  // rewrites that core's leaf.
   while (!rt_.all_finished()) {
-    const CoreId c = pop_min_clock_core();
-    if (c == kNoCore) {
-      // Every core is asleep with nothing runnable. Under open-loop
-      // arrivals this is an idle gap, not a deadlock: advance the clock to
-      // the next release instant and resume there instead of spinning.
-      Cycle nr = 0;
-      RACCD_ASSERT(rt_.next_release(nr),
-                   "deadlock: all cores asleep with unfinished tasks");
-      rt_.release_up_to(nr);
-      if (release_hook_) release_hook_(rt_.released_count());
-      if (tr) {
-        obs_->instant(obs::TraceCat::kTask, obs::kPidRuntime, 0,
-                      obs_ids_.idle_gap, nr, obs_ids_.released,
-                      rt_.released_count());
-      }
-      wake_sleepers(nr);
-      continue;
-    }
-    // Drain releases due at or before the minimum clock: sleeping cores
-    // wake *at the release instant* (possibly earlier than the popped
-    // core), so re-pick the global minimum afterwards. One release batch
-    // per iteration keeps each wake-up at its own exact instant.
+    const std::uint64_t top = run_tree_[1];
+    const bool idle = top == kRunAsleep;
     Cycle due = 0;
-    if (rt_.next_release(due) && due <= cores_[c].clock) {
+    const bool pending = rt_.next_release(due);
+    RACCD_ASSERT(pending || !idle, "deadlock: all cores asleep with unfinished tasks");
+    // Release when the next batch is due at or before the minimum clock, or
+    // when every core sleeps: under open-loop arrivals that is an idle gap,
+    // not a deadlock, and the clock jumps to the release instant. Sleepers
+    // wake *at the release instant* (possibly before the minimum core), so
+    // the minimum is re-read afterwards; one batch per iteration keeps each
+    // wake-up at its own exact instant.
+    if (pending && (idle || due <= top >> kRunCoreBits)) {
       rt_.release_up_to(due);
       if (release_hook_) release_hook_(rt_.released_count());
       if (tr) {
         obs_->instant(obs::TraceCat::kTask, obs::kPidRuntime, 0,
-                      obs_ids_.release, due, obs_ids_.released,
-                      rt_.released_count());
+                      idle ? obs_ids_.idle_gap : obs_ids_.release, due,
+                      obs_ids_.released, rt_.released_count());
       }
       wake_sleepers(due);
-      run_heap_.emplace(cores_[c].clock, c);
       continue;
     }
-    for (;;) {
-      // The stepped core holds the globally minimal clock, so sample times
-      // are non-decreasing — the series is a consistent global timeline.
-      if (sampler_) sampler_->observe(cores_[c].clock);
-      step(c);
-      if (cores_[c].sleeping) break;
-      // Fast path: keep stepping this core while it provably remains the
-      // global minimum, skipping the per-step heap round trip. Strict
-      // (clock, id) comparison against the top reproduces the push-then-pop
-      // order exactly (a stale top only underestimates its core's clock, so
-      // it can only send us down the slow path, never reorder steps).
-      // A pending release at or before this clock also exits: the slow
-      // path must perform the release before anything steps past it.
-      if (!legacy_ && !rt_.all_finished() &&
-          (run_heap_.empty() || ClockEntry{cores_[c].clock, c} < run_heap_.top()) &&
-          !(rt_.next_release(due) && due <= cores_[c].clock)) {
-        continue;
-      }
-      run_heap_.emplace(cores_[c].clock, c);
-      break;
-    }
+    const auto c = static_cast<CoreId>(top & ((1u << kRunCoreBits) - 1));
+    // The stepped core holds the globally minimal clock, so sample times
+    // are non-decreasing — the series is a consistent global timeline.
+    if (sampler_) sampler_->observe(cores_[c].clock);
+    step(c);
+    update_run_key(c);
   }
   Cycle end = phase_start;
   for (const auto& cs : cores_) end = std::max(end, cs.clock);
@@ -437,8 +412,9 @@ void Machine::replay_task_ffwd(CoreId c) {
       const PAddr paddr = (tr.pframe << kPageShift) | page_offset(r.vaddr);
       const LineAddr line = line_of(paddr);
   
+      L1Line* const hit = fabric_.l1(c).find(line);
       bool nc = false;
-      if (cs.classify && fabric_.l1(c).find(line) == nullptr) {
+      if (cs.classify && hit == nullptr) {
         // Batch classification: each page goes through the ClassifierView
         // once per task; later accesses reuse the memoized verdict.
         auto it = std::lower_bound(
@@ -450,7 +426,7 @@ void Machine::replay_task_ffwd(CoreId c) {
         }
         nc = it->second;
       }
-      const AccessOutcome out = fabric_.access(c, line, r.is_write != 0, nc, cs.clock);
+      const AccessOutcome out = fabric_.access(c, line, hit, r.is_write != 0, nc, cs.clock);
       if (!out.l1_hit) n_miss += 1.0;
       if (r.repeat > 1) fabric_.count_l1_repeat_hits(r.repeat - 1);
     }
@@ -565,9 +541,11 @@ void Machine::replay_record(CoreId c) {
 
   // Classify the request on an L1 miss through the backend's cached view
   // (NCRT lookup / PT page class / always-NC; null view = always coherent).
+  // The probe is handed on to the fabric: classification never fills an L1
+  // line, so it stays current.
   bool nc = false;
-  const bool l1_resident = fabric_.l1(c).find(line) != nullptr;
-  if (!l1_resident && cs.classify) {
+  L1Line* const hit = fabric_.l1(c).find(line);
+  if (hit == nullptr && cs.classify) {
     const AccessClass ac = cs.classify(c, r.vaddr, paddr, tr.pframe, cs.clock + extra);
     extra += ac.extra_cycles;
     nc = ac.nc;
@@ -590,7 +568,8 @@ void Machine::replay_record(CoreId c) {
     fh0 = n.total_flit_hops();
   }
 
-  const AccessOutcome out = fabric_.access(c, line, r.is_write != 0, nc, cs.clock + extra);
+  const AccessOutcome out =
+      fabric_.access(c, line, hit, r.is_write != 0, nc, cs.clock + extra);
   Cycle stall = out.latency;
   if (!out.l1_hit && cfg_.timing.miss_overlap > 1.0) {
     const Cycle l1h = cfg_.fabric.l1_hit_cycles;

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -141,11 +140,9 @@ class Machine {
     std::uint64_t occ_samples = 0;
   };
 
-  /// Pop the awake core with the lowest (clock, id) from the run heap
-  /// (kNoCore when every core sleeps). O(log cores) per step instead of the
-  /// old O(cores) scan — the heap is what keeps the DES loop cheap at the
-  /// 64-core counts multi-socket topologies reach.
-  [[nodiscard]] CoreId pop_min_clock_core();
+  /// Rewrite core c's run-queue leaf from its clock and sleep flag, then
+  /// replay the log2(leaves) matches on its path to the root.
+  void update_run_key(CoreId c);
   /// Advance core c by one step (fetch a task, replay one record, or finish).
   void step(CoreId c);
   void start_task(CoreId c, TaskId t);
@@ -176,12 +173,6 @@ class Machine {
   void snapshot_stats(Cycle at, SimStats& s) const;
 
   SimConfig cfg_;
-  /// RACCD_LEGACY_STRUCTURES: keep the one-heap-round-trip-per-step event
-  /// loop (A/B baseline for bench/throughput). The default loop keeps
-  /// stepping the minimum core without touching the heap while it provably
-  /// remains the minimum — identical step order by the same (clock, id)
-  /// tie-break, at a fraction of the host cost.
-  bool legacy_;
   CoherenceChecker checker_;
   Fabric fabric_;
   AdrController adr_;
@@ -191,14 +182,15 @@ class Machine {
   std::vector<CoreState> cores_;
   Cycle main_clock_ = 0;
 
-  /// Min-heap over (local clock, core id) of awake cores. Invariant: every
-  /// awake core has exactly one live entry at its current clock (entries go
-  /// stale only if a core slept after its entry was consumed — the pop
-  /// validates before returning). Lexicographic order reproduces the legacy
-  /// linear scan's tie-break exactly (lowest clock, then lowest core id).
-  using ClockEntry = std::pair<Cycle, CoreId>;
-  std::priority_queue<ClockEntry, std::vector<ClockEntry>, std::greater<ClockEntry>>
-      run_heap_;
+  /// Run queue: a winner (tournament) tree over next_pow2(cores) leaves,
+  /// stored heap-style (root at 1, leaf c at run_leaves_ + c). Leaf c holds
+  /// `clock << kRunCoreBits | c` while core c is awake and kRunAsleep while
+  /// it sleeps (and for padding leaves), so the root is the awake core with
+  /// the lowest clock, ties going to the lowest core id.
+  static constexpr unsigned kRunCoreBits = 6;  ///< topology caps cores at 64
+  static constexpr std::uint64_t kRunAsleep = ~std::uint64_t{0};
+  std::size_t run_leaves_ = 1;
+  std::vector<std::uint64_t> run_tree_;
 
   // accumulated runtime-cost stats
   Cycle create_cycles_ = 0;

@@ -116,6 +116,42 @@ TEST(Arrivals, ParseRejectsMalformedSchedules) {
   EXPECT_FALSE(parse_schedule("raccd-sched v1\n3\n10\n20\n", out, &err));
 }
 
+TEST(Arrivals, ParseRejectsSignedRelease) {
+  std::vector<Cycle> out;
+  std::string err;
+  EXPECT_FALSE(parse_schedule("raccd-sched v1\n1\n-5\n", out, &err));
+  EXPECT_NE(err.find("-5"), std::string::npos) << err;
+  err.clear();
+  EXPECT_FALSE(parse_schedule("raccd-sched v1\n1\n+5\n", out, &err));
+  EXPECT_FALSE(err.empty());
+}
+
+TEST(Arrivals, ParseRejectsTrailingCharacters) {
+  std::vector<Cycle> out;
+  std::string err;
+  EXPECT_FALSE(parse_schedule("raccd-sched v1\n1\n12abc\n", out, &err));
+  EXPECT_NE(err.find("12abc"), std::string::npos) << err;
+  err.clear();
+  EXPECT_FALSE(parse_schedule("raccd-sched v1\n1x\n12\n", out, &err));
+  EXPECT_FALSE(err.empty());
+  // Surrounding spaces and CRLF line ends are still fine.
+  ASSERT_TRUE(parse_schedule("raccd-sched v1\n 2\r\n12 \r\n\t13\n", out, &err)) << err;
+  EXPECT_EQ(out, (std::vector<Cycle>{12, 13}));
+}
+
+TEST(Arrivals, ParseRejectsOutOfRangeCountWithoutAllocating) {
+  std::vector<Cycle> out;
+  std::string err;
+  // Past 2^64-1: must be an error, not a clamp to ULLONG_MAX that reserve()
+  // turns into an uncaught std::length_error.
+  EXPECT_FALSE(parse_schedule("raccd-sched v1\n99999999999999999999\n5\n", out, &err));
+  EXPECT_NE(err.find("99999999999999999999"), std::string::npos) << err;
+  // In range but absurd: rejected by the body check, never reserved.
+  err.clear();
+  EXPECT_FALSE(parse_schedule("raccd-sched v1\n18446744073709551615\n5\n", out, &err));
+  EXPECT_NE(err.find("declares"), std::string::npos) << err;
+}
+
 TEST(Arrivals, GenerationIsIndependentOfExecutionContext) {
   // The schedule is a pure function of the config: generating it from many
   // threads concurrently (the worst ambient-state environment a sweep

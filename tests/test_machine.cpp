@@ -3,7 +3,11 @@
 // recovery, and end-to-end functional correctness with the checker on.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "raccd/coherence/checker.hpp"
+#include "raccd/obs/trace_sink.hpp"
 #include "raccd/sim/machine.hpp"
 
 namespace raccd {
@@ -234,6 +238,36 @@ void spawn_request(Machine& m, VAddr slot, Cycle release, std::uint64_t request,
   m.spawn(std::move(t));
 }
 
+TEST(Machine, EqualClocksStepLowestCoreIdFirst) {
+  // Every core opens the taskwait phase at the same clock, so each core's
+  // first step is a tie the loop must break by core id. Under FIFO
+  // scheduling the first core to step takes the oldest task: core c must
+  // run task "t<c>", and the task-begin events must appear in ascending
+  // core order, all at the same instant.
+  Machine m(test_config(CohMode::kFullCoh));
+  obs::TraceSink sink;
+  m.set_obs_trace(&sink);
+  const std::uint32_t cores = m.config().fabric.cores;
+  for (std::uint32_t t = 0; t < cores; ++t) {
+    TaskDesc d;
+    d.name = "t" + std::to_string(t);
+    d.body = [](TaskContext& ctx) { ctx.compute(100); };
+    m.spawn(std::move(d));
+  }
+  m.taskwait();
+  std::vector<std::uint32_t> order;
+  std::uint64_t first_ts = 0;
+  for (const obs::TraceEvent& e : sink.events()) {
+    if (e.pid != obs::kPidCores || e.ph != 'B') continue;
+    if (order.empty()) first_ts = e.ts;
+    EXPECT_EQ(e.ts, first_ts);
+    EXPECT_EQ(sink.name_of(e.name), "t" + std::to_string(e.tid));
+    order.push_back(e.tid);
+  }
+  ASSERT_EQ(order.size(), cores);
+  for (std::uint32_t c = 0; c < cores; ++c) EXPECT_EQ(order[c], c);
+}
+
 TEST(Machine, ReleaseGateAdvancesClockAcrossIdleGap) {
   // All cores idle awaiting a future release: the event loop must jump the
   // clock to the release instant (an idle gap, not a deadlock) and the
@@ -277,7 +311,7 @@ TEST(Machine, ReleasesFireAtExactInstantsAcrossRepeatedGaps) {
 }
 
 TEST(Machine, ReleaseDuringBusyBatchStartsOnAnIdleCore) {
-  // The run-heap fast path must not step a busy core past a pending release:
+  // The event loop must not step a busy core past a pending release:
   // with 15 of 16 cores idle, a request released mid-batch still starts at
   // exactly its release instant plus the scheduling cost.
   Machine m(test_config(CohMode::kFullCoh));
