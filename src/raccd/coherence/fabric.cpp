@@ -122,6 +122,19 @@ Fabric::Fabric(const FabricConfig& cfg, CoherenceChecker* checker)
     dir_.push_back(std::make_unique<DirectoryBank>(cfg_.dir));
     dir_access_pj_.push_back(energy_.dir_access_pj(dir_[c]->active_entries()));
   }
+  llc_access_pj_ = energy_.llc_access_pj(llc_[0]->line_capacity());
+  // Inter-socket hops burn `socket_hop_energy_scale` times the on-chip
+  // per-flit-hop energy (off-package SerDes links).
+  const Topology& topo = topology();
+  hop_energy_.resize(static_cast<std::size_t>(cfg_.cores) * cfg_.cores);
+  for (std::uint32_t from = 0; from < cfg_.cores; ++from) {
+    for (std::uint32_t to = 0; to < cfg_.cores; ++to) {
+      const Route r = topo.route(from, to);
+      hop_energy_[topo.route_index(from, to)] =
+          static_cast<double>(r.link_hops) +
+          static_cast<double>(r.socket_hops) * topo.config().socket_hop_energy_scale;
+    }
+  }
   dir_busy_.assign(cfg_.cores, 0);
   llc_busy_.assign(cfg_.cores, 0);
   if (cfg_.dram.model != DramModel::kSimple) {
@@ -161,15 +174,10 @@ Fabric::Fabric(const FabricConfig& cfg, CoherenceChecker* checker)
 
 Cycle Fabric::msg(std::uint32_t from, std::uint32_t to, MsgClass cls) {
   if (phase_ == SimPhase::kFfwd) return 0;  // functional: no routing, no traffic
-  const Route r = topology().route(from, to);
-  const std::uint32_t flits = mesh_.flits_for(cls);
-  // Inter-socket hops burn `socket_hop_energy_scale` times the on-chip
-  // per-flit-hop energy (off-package SerDes links).
-  const double hop_cost =
-      static_cast<double>(r.link_hops) +
-      static_cast<double>(r.socket_hops) * topology().config().socket_hop_energy_scale;
-  st().e_noc_pj += hop_cost * flits * energy_.noc_flit_hop_pj();
-  return mesh_.transfer(r, cls);
+  const Topology& topo = topology();
+  const double hop_cost = hop_energy_[topo.route_index(from, to)];
+  st().e_noc_pj += hop_cost * mesh_.flits_for(cls) * energy_.noc_flit_hop_pj();
+  return mesh_.transfer(topo.route(from, to), cls);
 }
 
 Cycle Fabric::bank_service(Cycle& busy_until, Cycle arrive, Cycle service) noexcept {
@@ -185,9 +193,9 @@ void Fabric::count_dir_access(BankId b) {
   st().e_dir_pj += dir_access_pj_[b];
 }
 
-void Fabric::count_llc_touch(BankId b) {
+void Fabric::count_llc_touch() {
   ++st().llc_touches;
-  st().e_llc_pj += energy_.llc_access_pj(llc_[b]->line_capacity());
+  st().e_llc_pj += llc_access_pj_;
 }
 
 void Fabric::mark_dir_dirty(BankId b, Cycle now) {
@@ -230,7 +238,7 @@ Cycle Fabric::recall_sharers(BankId b, DirEntry& e, CoreId skip, Cycle now) {
         RACCD_ASSERT(ll != nullptr, "dirty recall without resident LLC line");
         ll->dirty = true;
         ll->version = old.version;
-        count_llc_touch(b);
+        count_llc_touch();
         leg += msg(s, b, MsgClass::kWriteback);
         ++st().l1_wb_coh;
       } else {
@@ -249,7 +257,7 @@ Cycle Fabric::recall_sharers(BankId b, DirEntry& e, CoreId skip, Cycle now) {
 Cycle Fabric::drop_llc_line(BankId b, LineAddr line, bool due_to_dir, Cycle now) {
   const LlcLine dead = llc_[b]->invalidate(line);
   RACCD_ASSERT(dead.valid, "dropping a non-resident LLC line");
-  count_llc_touch(b);
+  count_llc_touch();
   if (due_to_dir) ++st().llc_inval_by_dir;
   Cycle lat = 0;
   if (dead.dirty) {
@@ -290,7 +298,7 @@ Cycle Fabric::llc_fill(BankId b, LineAddr line, bool nc, bool dirty, std::uint64
     }
   }
   llc_[b]->fill(line, nc, dirty, version);
-  count_llc_touch(b);
+  count_llc_touch();
   ++st().llc_fills;
   return lat;
 }
@@ -425,7 +433,7 @@ void Fabric::handle_l1_victim(CoreId c, const L1Line& victim, Cycle now) {
     (void)msg(c, b, MsgClass::kWriteback);
     ++st().l1_wb_nc;
     LlcLine* ll = llc_[b]->find(victim.line);
-    count_llc_touch(b);
+    count_llc_touch();
     if (ll != nullptr) {
       ll->dirty = true;
       ll->version = victim.version;
@@ -445,7 +453,7 @@ void Fabric::handle_l1_victim(CoreId c, const L1Line& victim, Cycle now) {
     e->sharers &= ~bit(c);
     LlcLine* ll = llc_[b]->find(victim.line);
     RACCD_ASSERT(ll != nullptr, "M writeback without LLC line");
-    count_llc_touch(b);
+    count_llc_touch();
     ll->dirty = true;
     ll->version = victim.version;
   }
@@ -469,7 +477,7 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
   }
   count_dir_access(b);
   ++st().dir_lookups;
-  count_llc_touch(b);
+  count_llc_touch();
   ++st().llc_lookups;
 
   DirEntry* e = dir_[b]->find(line);
@@ -491,7 +499,7 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
             RACCD_ASSERT(ll != nullptr, "owner WB without LLC line");
             ll->dirty = true;
             ll->version = old.version;
-            count_llc_touch(b);
+            count_llc_touch();
             leg += msg(o, b, MsgClass::kWriteback);
             ++st().l1_wb_coh;
           } else {
@@ -505,7 +513,7 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
             RACCD_ASSERT(ll != nullptr, "owner WB without LLC line");
             ll->dirty = true;
             ll->version = ol->version;
-            count_llc_touch(b);
+            count_llc_touch();
             leg += msg(o, b, MsgClass::kWriteback);
             ++st().l1_wb_coh;
             ol->dirty = false;
@@ -615,7 +623,7 @@ Fabric::MissResult Fabric::nc_miss(CoreId c, LineAddr line, bool is_write, Cycle
   ++st().llc_lookups;
   ++st().llc_nc_lookups;
   LlcLine* ll = llc_[b]->find(line);
-  count_llc_touch(b);
+  count_llc_touch();
   if (ll != nullptr) {
     ++st().llc_hits;
     ++st().llc_nc_hits;
@@ -775,7 +783,7 @@ Fabric::FlushOutcome Fabric::flush_nc_lines(CoreId c, Cycle now) {
       (void)msg(c, b, MsgClass::kWriteback);
       ++st().l1_wb_nc;
       LlcLine* ll = llc_[b]->find(line);
-      count_llc_touch(b);
+      count_llc_touch();
       if (ll != nullptr) {
         ll->dirty = true;
         ll->version = old.version;
@@ -807,7 +815,7 @@ Fabric::FlushOutcome Fabric::flush_page_lines(CoreId c, PageNum frame, Cycle now
       if (old.nc) {
         ++st().l1_wb_nc;
         LlcLine* ll = llc_[b]->find(line);
-        count_llc_touch(b);
+        count_llc_touch();
         if (ll != nullptr) {
           ll->dirty = true;
           ll->version = old.version;
@@ -825,7 +833,7 @@ Fabric::FlushOutcome Fabric::flush_page_lines(CoreId c, PageNum frame, Cycle now
         e->sharers &= ~bit(c);
         LlcLine* ll = llc_[b]->find(line);
         RACCD_ASSERT(ll != nullptr, "M flush without LLC line");
-        count_llc_touch(b);
+        count_llc_touch();
         ll->dirty = true;
         ll->version = old.version;
       }

@@ -216,7 +216,7 @@ class Fabric {
   Cycle bank_service(Cycle& busy_until, Cycle arrive, Cycle service) noexcept;
 
   void count_dir_access(BankId b);
-  void count_llc_touch(BankId b);
+  void count_llc_touch();
 
   MissResult coherent_miss(CoreId c, LineAddr line, bool is_write, Cycle now);
   MissResult nc_miss(CoreId c, LineAddr line, bool is_write, Cycle now);
@@ -268,6 +268,11 @@ class Fabric {
   PagedLineMap mem_flat_;
   std::unordered_map<LineAddr, std::uint64_t> mem_version_;  ///< legacy path
   std::vector<double> dir_access_pj_;  ///< cached per-bank per-access energy
+  /// Per-access LLC energy; every bank has the same fixed capacity.
+  double llc_access_pj_ = 0.0;
+  /// Per-route NoC energy factor, link_hops + socket_hops *
+  /// socket_hop_energy_scale, indexed by Topology::route_index.
+  std::vector<double> hop_energy_;
   /// The stats bucket of the current phase (set_phase): &stats_ in measured
   /// windows and in detailed runs, the scratch buckets otherwise. Every
   /// internal counter/energy update goes through this.

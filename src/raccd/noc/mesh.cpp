@@ -58,22 +58,20 @@ void NocStats::add(const NocStats& o) noexcept {
   socket_link_flits += o.socket_link_flits;
 }
 
-Mesh::Mesh(const MeshConfig& cfg)
-    : cfg_(cfg), topo_(flat_topo_from(cfg), cfg.width * cfg.height) {
+Mesh::Mesh(const MeshConfig& cfg) : Mesh(cfg, flat_topo_from(cfg), cfg.width * cfg.height) {
   RACCD_ASSERT(cfg_.width > 0 && cfg_.height > 0, "empty mesh");
-  RACCD_ASSERT(cfg_.flit_bytes > 0, "flit size must be positive");
 }
 
 Mesh::Mesh(const MeshConfig& cfg, const TopologyConfig& topo, std::uint32_t cores)
     : cfg_(cfg), topo_(reconciled(cfg, topo), cores) {
   RACCD_ASSERT(cfg_.flit_bytes > 0, "flit size must be positive");
-}
-
-std::uint32_t Mesh::flits_for(MsgClass cls) const noexcept {
-  const std::uint32_t bytes = (cls == MsgClass::kResponseData || cls == MsgClass::kWriteback)
-                                  ? cfg_.data_bytes
-                                  : cfg_.control_bytes;
-  return (bytes + cfg_.flit_bytes - 1) / cfg_.flit_bytes;
+  for (std::size_t c = 0; c < kMsgClassCount; ++c) {
+    const auto cls = static_cast<MsgClass>(c);
+    const std::uint32_t bytes =
+        (cls == MsgClass::kResponseData || cls == MsgClass::kWriteback) ? cfg_.data_bytes
+                                                                        : cfg_.control_bytes;
+    flits_[c] = (bytes + cfg_.flit_bytes - 1) / cfg_.flit_bytes;
+  }
 }
 
 Cycle Mesh::latency(std::uint32_t from, std::uint32_t to, MsgClass cls) const noexcept {

@@ -107,7 +107,9 @@ class Mesh {
     return topo_.mem_controller(node);
   }
 
-  [[nodiscard]] std::uint32_t flits_for(MsgClass cls) const noexcept;
+  [[nodiscard]] std::uint32_t flits_for(MsgClass cls) const noexcept {
+    return flits_[static_cast<std::size_t>(cls)];
+  }
   [[nodiscard]] const NocStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = NocStats{}; }
   [[nodiscard]] const MeshConfig& config() const noexcept { return cfg_; }
@@ -122,6 +124,8 @@ class Mesh {
  private:
   MeshConfig cfg_;
   Topology topo_;
+  /// Flits per message class, sized once from cfg_ (ceil(bytes / flit)).
+  std::array<std::uint32_t, kMsgClassCount> flits_{};
   NocStats stats_;
   NocStats* sink_ = nullptr;  ///< non-null: stats bucket override
 };

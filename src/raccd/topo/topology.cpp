@@ -1,6 +1,6 @@
 #include "raccd/topo/topology.hpp"
 
-#include <cstdlib>
+#include <charconv>
 
 #include "raccd/common/assert.hpp"
 #include "raccd/common/bits.hpp"
@@ -45,6 +45,18 @@ Topology::Topology(const TopologyConfig& cfg, std::uint32_t cores)
       derive_grid(cores_ / cfg_.sockets, grid_w_, grid_h_);
       break;
   }
+  node_bits_ = log2_exact(cores_);
+  socket_shift_ = log2_exact(cores_ / cfg_.sockets);
+  frames_per_socket_ = cfg_.phys_frames / cfg_.sockets;
+  std::vector<Coord> coords;
+  coords.reserve(cores_);
+  for (std::uint32_t n = 0; n < cores_; ++n) coords.push_back(coord_of(n));
+  routes_.reserve(static_cast<std::size_t>(cores_) * cores_);
+  for (const Coord& a : coords) {
+    for (const Coord& b : coords) routes_.push_back(compute_route(a, b));
+  }
+  mem_controller_.reserve(cores_);
+  for (const Coord& c : coords) mem_controller_.push_back(nearest_corner(c));
 }
 
 std::uint64_t Topology::bank_mask(std::uint32_t socket) const noexcept {
@@ -55,18 +67,16 @@ std::uint64_t Topology::bank_mask(std::uint32_t socket) const noexcept {
 
 std::uint32_t Topology::socket_of_frame(PageNum frame) const noexcept {
   if (cfg_.sockets == 1) return 0;
-  if (cfg_.phys_frames == 0) return static_cast<std::uint32_t>(frame % cfg_.sockets);
-  const std::uint64_t per_socket = cfg_.phys_frames / cfg_.sockets;
-  const std::uint64_t s = per_socket == 0 ? 0 : frame / per_socket;
+  if (cfg_.phys_frames == 0) return static_cast<std::uint32_t>(frame & (cfg_.sockets - 1));
+  const std::uint64_t s = frames_per_socket_ == 0 ? 0 : frame / frames_per_socket_;
   return static_cast<std::uint32_t>(s < cfg_.sockets ? s : cfg_.sockets - 1);
 }
 
 BankId Topology::home_bank(LineAddr line) const noexcept {
   if (cfg_.sockets == 1) return static_cast<BankId>(line & (cores_ - 1));
   const PageNum frame = line >> (kPageShift - kLineShift);
-  const std::uint32_t socket = socket_of_frame(frame);
-  const std::uint32_t banks_per_socket = cores_per_socket();
-  return static_cast<BankId>(socket * banks_per_socket + (line & (banks_per_socket - 1)));
+  return static_cast<BankId>((socket_of_frame(frame) << socket_shift_) |
+                             (line & (cores_per_socket() - 1)));
 }
 
 Topology::Coord Topology::coord_of(std::uint32_t node) const noexcept {
@@ -80,9 +90,7 @@ std::uint32_t Topology::grid_hops(Coord a, Coord b) const noexcept {
   return d(a.x, b.x) + d(a.y, b.y);
 }
 
-Route Topology::route(std::uint32_t from, std::uint32_t to) const noexcept {
-  const Coord a = coord_of(from);
-  const Coord b = coord_of(to);
+Route Topology::compute_route(Coord a, Coord b) const noexcept {
   const Cycle per_hop = cfg_.link_cycles + cfg_.router_cycles;
   Route r;
   if (a.socket == b.socket) {
@@ -99,16 +107,15 @@ Route Topology::route(std::uint32_t from, std::uint32_t to) const noexcept {
   return r;
 }
 
-std::uint32_t Topology::mem_controller(std::uint32_t node) const noexcept {
+std::uint32_t Topology::nearest_corner(Coord here) const noexcept {
   // Controllers sit at the four corners of the node's own router grid (per
   // socket for NUMA), as in common tiled-CMP floorplans. The corner order
   // matches the legacy mesh so flat tie-breaks are unchanged.
-  const std::uint32_t socket = socket_of(node);
+  const std::uint32_t socket = here.socket;
   const Coord corners[4] = {{0, 0, socket},
                             {grid_w_ - 1, 0, socket},
                             {0, grid_h_ - 1, socket},
                             {grid_w_ - 1, grid_h_ - 1, socket}};
-  const Coord here = coord_of(node);
   std::uint32_t best = 0;
   std::uint32_t best_hops = ~0u;
   for (std::uint32_t i = 0; i < 4; ++i) {
@@ -142,14 +149,17 @@ std::string parse_topology(std::string_view token, TopologyConfig& cfg,
                            std::uint32_t& total_cores) {
   total_cores = 0;
   const std::string t(token);
-  const auto parse_u32 = [](const std::string& s, std::uint32_t& out) {
-    if (s.empty()) return false;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  // Digits only, no leading zero: the token is embedded verbatim in
+  // RunSpec::key(), so one machine shape must have exactly one spelling
+  // (strtoull would also take "+2", " 2" and "02").
+  const auto parse_u32 = [](std::string_view s, std::uint32_t& out) {
+    if (s.empty() || s.front() == '0') return false;
+    std::uint32_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
     // No topology number exceeds the 64-core machine limit; rejecting here
     // keeps the uint32 products below from wrapping.
-    if (end == nullptr || *end != '\0' || v == 0 || v > 64) return false;
-    out = static_cast<std::uint32_t>(v);
+    if (ec != std::errc{} || end != s.data() + s.size() || v > 64) return false;
+    out = v;
     return true;
   };
   if (t == "flat") {

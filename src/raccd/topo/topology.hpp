@@ -18,10 +18,17 @@
 // The topology owns three mappings the rest of the system routes through:
 // socket-of (core / bank / physical frame), home-bank-of-line, and
 // route(from, to) -> {on-chip hops, inter-socket hops, head-flit latency}.
+//
+// The machine shape is fixed for a topology's lifetime, so the constructor
+// resolves it into tables: every (from, to) route, every node's memory
+// controller, and the socket shift. The closed-form XY/gateway and
+// nearest-corner code only builds those tables; the per-message queries
+// are a load, a shift or a mask.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "raccd/common/types.hpp"
 
@@ -77,12 +84,12 @@ class Topology {
   [[nodiscard]] std::uint32_t cores() const noexcept { return cores_; }
   [[nodiscard]] std::uint32_t sockets() const noexcept { return cfg_.sockets; }
   [[nodiscard]] std::uint32_t cores_per_socket() const noexcept {
-    return cores_ / cfg_.sockets;
+    return 1u << socket_shift_;
   }
 
   /// Socket of a node id (cores and LLC/directory banks share tile ids).
   [[nodiscard]] std::uint32_t socket_of(std::uint32_t node) const noexcept {
-    return node / cores_per_socket();
+    return node >> socket_shift_;
   }
   [[nodiscard]] bool cross_socket(std::uint32_t a, std::uint32_t b) const noexcept {
     return socket_of(a) != socket_of(b);
@@ -101,11 +108,20 @@ class Topology {
 
   /// Cost one message leg between two nodes (XY routing per mesh; NUMA
   /// routes through the sockets' gateway tiles and one inter-socket link).
-  [[nodiscard]] Route route(std::uint32_t from, std::uint32_t to) const noexcept;
+  [[nodiscard]] Route route(std::uint32_t from, std::uint32_t to) const noexcept {
+    return routes_[route_index(from, to)];
+  }
+  /// Index of the (from, to) pair in the route table, for callers that keep
+  /// per-route tables of their own (cores * cores entries).
+  [[nodiscard]] std::uint32_t route_index(std::uint32_t from, std::uint32_t to) const noexcept {
+    return (from << node_bits_) | to;
+  }
 
   /// Node id of the memory controller serving `node` (nearest corner of the
   /// node's own socket/router grid — memory is attached per socket).
-  [[nodiscard]] std::uint32_t mem_controller(std::uint32_t node) const noexcept;
+  [[nodiscard]] std::uint32_t mem_controller(std::uint32_t node) const noexcept {
+    return mem_controller_[node];
+  }
 
   /// Human-readable shape, e.g. "2 sockets x 8 cores (4x2 mesh/socket)".
   [[nodiscard]] std::string describe() const;
@@ -114,14 +130,22 @@ class Topology {
   struct Coord {
     std::uint32_t x = 0, y = 0, socket = 0;
   };
+  // Table builders: the closed forms, run once per node / pair.
   [[nodiscard]] Coord coord_of(std::uint32_t node) const noexcept;
   [[nodiscard]] std::uint32_t grid_hops(Coord a, Coord b) const noexcept;
+  [[nodiscard]] Route compute_route(Coord a, Coord b) const noexcept;
+  [[nodiscard]] std::uint32_t nearest_corner(Coord here) const noexcept;
 
   TopologyConfig cfg_;
   std::uint32_t cores_;
   std::uint32_t grid_w_ = 4;  ///< router-grid dims (per socket for kNuma)
   std::uint32_t grid_h_ = 4;
-  std::uint32_t nodes_per_router_ = 1;  ///< >1 only for kCMesh
+  std::uint32_t nodes_per_router_ = 1;         ///< >1 only for kCMesh
+  std::uint32_t node_bits_ = 0;                ///< log2(cores)
+  std::uint32_t socket_shift_ = 0;             ///< log2(cores per socket)
+  std::uint64_t frames_per_socket_ = 0;        ///< phys_frames / sockets
+  std::vector<Route> routes_;                  ///< [from << node_bits_ | to]
+  std::vector<std::uint32_t> mem_controller_;  ///< [node]
 };
 
 /// Parse a topology token: "flat", "cmesh" / "cmesh<K>" (K cores per

@@ -12,6 +12,11 @@
 //     the sample times pin the global step order;
 //   - numa2 + ddr: routed traffic and DRAM queues.
 //
+// Three more specs pin the machine-shape tables (topo/topology.hpp) on the
+// routes the specs above never take: interleaved numa2 + ddr sends coherent
+// requests and memory fetches across the socket link, first-touch numa4
+// sends NC requests across it, and cmesh routes through shared routers.
+//
 // Beside the stats, each entry records the phase-hook and release-hook call
 // sequences (the phase sequence as a hash) and the series, so any reordering
 // of steps shows up as a diff.
@@ -62,6 +67,18 @@ const char* const kGoldenPath = RACCD_TEST_GOLDEN_DIR "/loop_stats.txt";
   numa.topo = "numa2";
   numa.dram = "ddr";
   specs.push_back(numa);
+  RunSpec interleaved = tiny("synthetic", CohMode::kFullCoh);
+  interleaved.topo = "numa2";
+  interleaved.dram = "ddr";
+  interleaved.alloc = AllocPolicy::kInterleave;
+  specs.push_back(interleaved);
+  RunSpec first_touch = tiny("jacobi", CohMode::kRaCCD);
+  first_touch.topo = "numa4";
+  first_touch.alloc = AllocPolicy::kFirstTouch;
+  specs.push_back(first_touch);
+  RunSpec cmesh = tiny("jacobi", CohMode::kRaCCD);
+  cmesh.topo = "cmesh";
+  specs.push_back(cmesh);
   return specs;
 }
 
@@ -141,6 +158,24 @@ TEST(LoopGolden, GridCoversEveryLoopBranch) {
   EXPECT_TRUE(released);
   EXPECT_TRUE(sampled);
   EXPECT_TRUE(series);
+}
+
+TEST(LoopGolden, GridCoversCrossSocketAndCMeshRoutes) {
+  // Guards the routing coverage: a wrong cross-socket or concentrated-mesh
+  // route entry must move some pinned number.
+  bool coherent_cross = false, nc_cross = false, cmesh = false;
+  for (const RunSpec& spec : loop_grid()) {
+    const SimStats s = run_one(spec);
+    if (s.noc.cross_socket.messages > 0 && s.noc.socket_link_flits > 0 &&
+        s.fabric.dir_reqs_cross_socket > 0) {
+      coherent_cross = true;
+    }
+    if (s.fabric.nc_reqs_cross_socket > 0) nc_cross = true;
+    if (spec.topo.rfind("cmesh", 0) == 0) cmesh = true;
+  }
+  EXPECT_TRUE(coherent_cross);
+  EXPECT_TRUE(nc_cross);
+  EXPECT_TRUE(cmesh);
 }
 
 TEST(LoopGolden, StatsMatchPinnedGoldenAndParallelSweep) {

@@ -1,14 +1,19 @@
 // Topology layer tests: flat equivalence with the legacy mesh, token
-// parsing, socket views and socket-local home banking on NUMA shapes,
+// parsing, the route / memory-controller / flit tables against a reference
+// floorplan, socket views and socket-local home banking on NUMA shapes,
 // socket-aware page placement, end-to-end cross-socket stats, and
 // determinism of topology-swept runs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "fabric_test_util.hpp"
 #include "raccd/harness/experiment.hpp"
 #include "raccd/harness/grid.hpp"
 #include "raccd/harness/sweep_cache.hpp"
 #include "raccd/mem/phys_memory.hpp"
+#include "raccd/noc/mesh.hpp"
 #include "raccd/topo/topology.hpp"
 
 namespace raccd {
@@ -70,6 +75,11 @@ TEST(Topology, ParseTokens) {
   EXPECT_NE(parse_topology("numa3", cfg, cores), "");
   EXPECT_NE(parse_topology("numa2x48", cfg, cores), "");  // 96 cores > 64
   EXPECT_NE(parse_topology("cmesh3", cfg, cores), "");
+  // One spelling per shape: the token is embedded verbatim in RunSpec::key().
+  for (const char* bad : {"numa+2", "numa 2", "numa02", "numa2x 8", "numa2x08", "numa2x+8",
+                          "numa-2", "numa2x", "cmesh+8", "cmesh08", "cmesh 8", "cmesh0"}) {
+    EXPECT_NE(parse_topology(bad, cfg, cores), "") << bad;
+  }
 }
 
 TEST(Topology, NumaSocketViewsAndRoutes) {
@@ -103,6 +113,137 @@ TEST(Topology, NumaSocketViewsAndRoutes) {
   // Memory controllers never leave the node's socket.
   for (std::uint32_t n = 0; n < 16; ++n) {
     EXPECT_EQ(topo.socket_of(topo.mem_controller(n)), topo.socket_of(n));
+  }
+}
+
+/// One machine shape and the router grid it must resolve to, for the
+/// reference routes below (written from the floorplan, not the builder).
+struct ShapeCase {
+  const char* name;
+  TopologyConfig cfg;
+  std::uint32_t cores;
+  std::uint32_t grid_w, grid_h;    ///< router grid per socket
+  std::uint32_t nodes_per_router;  ///< >1 only for cmesh
+};
+
+[[nodiscard]] std::vector<ShapeCase> route_table_shapes() {
+  TopologyConfig base;
+  base.link_cycles = 1;
+  base.router_cycles = 2;  // per hop: 3 cycles
+  base.socket_link_cycles = 37;
+  TopologyConfig flat = base;
+  flat.kind = TopologyKind::kFlatMesh;
+  TopologyConfig cmesh4 = base;
+  cmesh4.kind = TopologyKind::kCMesh;
+  cmesh4.cluster_size = 4;
+  TopologyConfig cmesh8 = cmesh4;
+  cmesh8.cluster_size = 8;
+  const auto numa = [&](std::uint32_t sockets) {
+    TopologyConfig t = base;
+    t.kind = TopologyKind::kNuma;
+    t.sockets = sockets;
+    return t;
+  };
+  return {{"flat", flat, 16, 4, 4, 1},         {"cmesh4", cmesh4, 16, 2, 2, 4},
+          {"cmesh8", cmesh8, 16, 2, 1, 8},     {"numa2", numa(2), 16, 4, 2, 1},
+          {"numa4", numa(4), 16, 2, 2, 1},     {"numa16", numa(16), 16, 1, 1, 1},
+          {"numa2x32", numa(2), 64, 8, 4, 1}};
+}
+
+TEST(Topology, RouteTablesMatchReferenceFloorplan) {
+  for (const ShapeCase& sc : route_table_shapes()) {
+    SCOPED_TRACE(sc.name);
+    const Topology topo(sc.cfg, sc.cores);
+    const std::uint32_t cps = sc.cores / sc.cfg.sockets;
+    const Cycle per_hop = sc.cfg.link_cycles + sc.cfg.router_cycles;
+    struct Pos {
+      std::uint32_t x, y, socket;
+    };
+    const auto pos = [&](std::uint32_t n) {
+      const std::uint32_t router = (n % cps) / sc.nodes_per_router;
+      return Pos{router % sc.grid_w, router / sc.grid_w, n / cps};
+    };
+    const auto dist = [](Pos a, Pos b) {
+      const auto d = [](std::uint32_t p, std::uint32_t q) { return p > q ? p - q : q - p; };
+      return d(a.x, b.x) + d(a.y, b.y);
+    };
+    for (std::uint32_t from = 0; from < sc.cores; ++from) {
+      for (std::uint32_t to = 0; to < sc.cores; ++to) {
+        const Pos a = pos(from), b = pos(to);
+        const Route r = topo.route(from, to);
+        if (a.socket == b.socket) {
+          ASSERT_EQ(r.socket_hops, 0u) << from << "->" << to;
+          ASSERT_EQ(r.link_hops, dist(a, b)) << from << "->" << to;
+          ASSERT_EQ(r.latency, r.link_hops * per_hop) << from << "->" << to;
+        } else {
+          // Through router (0,0) on both sockets and one socket link.
+          const Pos gw{0, 0, 0};
+          ASSERT_EQ(r.socket_hops, 1u) << from << "->" << to;
+          ASSERT_EQ(r.link_hops, dist(a, gw) + dist(gw, b)) << from << "->" << to;
+          ASSERT_EQ(r.latency, r.link_hops * per_hop + sc.cfg.socket_link_cycles)
+              << from << "->" << to;
+        }
+      }
+    }
+    for (std::uint32_t n = 0; n < sc.cores; ++n) {
+      // Nearest corner of the node's own router grid; the first corner in
+      // (0,0), (w-1,0), (0,h-1), (w-1,h-1) order wins ties.
+      const Pos here = pos(n);
+      const Pos corners[4] = {{0, 0, here.socket},
+                              {sc.grid_w - 1, 0, here.socket},
+                              {0, sc.grid_h - 1, here.socket},
+                              {sc.grid_w - 1, sc.grid_h - 1, here.socket}};
+      Pos best = corners[0];
+      for (const Pos& c : corners) {
+        if (dist(here, c) < dist(here, best)) best = c;
+      }
+      const std::uint32_t want =
+          here.socket * cps + (best.y * sc.grid_w + best.x) * sc.nodes_per_router;
+      EXPECT_EQ(topo.mem_controller(n), want) << "node " << n;
+      EXPECT_EQ(topo.socket_of(n), n / cps) << "node " << n;
+    }
+    EXPECT_EQ(topo.cores_per_socket(), cps);
+  }
+}
+
+TEST(Topology, HomeBankMatchesClosedForm) {
+  for (const ShapeCase& sc : route_table_shapes()) {
+    SCOPED_TRACE(sc.name);
+    for (const std::uint64_t phys_frames : {std::uint64_t{0}, std::uint64_t{1000}}) {
+      TopologyConfig cfg = sc.cfg;
+      cfg.phys_frames = phys_frames;
+      const Topology topo(cfg, sc.cores);
+      const std::uint32_t sockets = cfg.sockets;
+      const std::uint32_t cps = sc.cores / sockets;
+      for (LineAddr line = 0; line < LineAddr{1100} * kLinesPerPage; line += 37) {
+        const PageNum frame = line / kLinesPerPage;
+        std::uint64_t socket = 0;
+        if (sockets > 1) {
+          socket = phys_frames == 0 ? frame % sockets
+                                    : std::min<std::uint64_t>(frame / (phys_frames / sockets),
+                                                              sockets - 1);
+        }
+        const BankId want = static_cast<BankId>(socket * cps + line % cps);
+        ASSERT_EQ(topo.home_bank(line), want) << "line " << line;
+        ASSERT_EQ(topo.socket_of_frame(frame), socket) << "frame " << frame;
+      }
+    }
+  }
+}
+
+TEST(MeshTables, FlitsPerClassAreCeilOfBytes) {
+  for (const std::uint32_t flit_bytes : {1u, 7u, 8u, 16u, 32u, 100u}) {
+    MeshConfig mc;
+    mc.flit_bytes = flit_bytes;
+    const Mesh mesh(mc);
+    const auto ceil_div = [&](std::uint32_t bytes) {
+      return bytes / flit_bytes + (bytes % flit_bytes != 0 ? 1u : 0u);
+    };
+    EXPECT_EQ(mesh.flits_for(MsgClass::kRequest), ceil_div(mc.control_bytes)) << flit_bytes;
+    EXPECT_EQ(mesh.flits_for(MsgClass::kInval), ceil_div(mc.control_bytes)) << flit_bytes;
+    EXPECT_EQ(mesh.flits_for(MsgClass::kAck), ceil_div(mc.control_bytes)) << flit_bytes;
+    EXPECT_EQ(mesh.flits_for(MsgClass::kResponseData), ceil_div(mc.data_bytes)) << flit_bytes;
+    EXPECT_EQ(mesh.flits_for(MsgClass::kWriteback), ceil_div(mc.data_bytes)) << flit_bytes;
   }
 }
 
