@@ -3,8 +3,6 @@
 // figure sweeps tractable.
 #include <benchmark/benchmark.h>
 
-#include <unordered_map>
-
 #include "raccd/cache/l1_cache.hpp"
 #include "raccd/coherence/fabric.hpp"
 #include "raccd/common/flat_map.hpp"
@@ -19,14 +17,8 @@
 namespace raccd {
 namespace {
 
-// The legacy/flat pairs below measure the structure swap in isolation:
-// structures capture legacy_structures() at construction, so toggling the
-// override before building each fixture selects the implementation.
-
 void BM_NcrtLookup(benchmark::State& state) {
-  set_legacy_structures(state.range(0) != 0);
   Ncrt ncrt(32);
-  set_legacy_structures(false);
   for (std::uint64_t i = 0; i < 32; ++i) {
     ncrt.insert(i * 0x100000, i * 0x100000 + 0x10000);
   }
@@ -35,24 +27,20 @@ void BM_NcrtLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(ncrt.lookup(rng.next_below(32) * 0x100000 + 0x8000));
   }
 }
-BENCHMARK(BM_NcrtLookup)->Arg(0)->Arg(1);  // 0 = sorted+memo, 1 = legacy scan
+BENCHMARK(BM_NcrtLookup);
 
 void BM_L1FindHit(benchmark::State& state) {
-  set_legacy_structures(state.range(0) != 0);
   L1Cache l1(L1Geometry{});
-  set_legacy_structures(false);
   for (LineAddr l = 0; l < 512; ++l) l1.fill(l, false, Mesi::kShared, false, 0);
   Rng rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(l1.find(rng.next_below(512)));
   }
 }
-BENCHMARK(BM_L1FindHit)->Arg(0)->Arg(1);  // 0 = SoA tag probe, 1 = AoS scan
+BENCHMARK(BM_L1FindHit);
 
 void BM_TlbAccess(benchmark::State& state) {
-  set_legacy_structures(state.range(0) != 0);
   Tlb tlb(256);
-  set_legacy_structures(false);
   PageTable pt;
   for (PageNum v = 0; v < 4096; ++v) pt.map(v, v);
   Rng rng(3);
@@ -60,7 +48,7 @@ void BM_TlbAccess(benchmark::State& state) {
     benchmark::DoNotOptimize(tlb.access(rng.next_below(512), pt));
   }
 }
-BENCHMARK(BM_TlbAccess)->Arg(0)->Arg(1);  // 0 = OpenPageMap index, 1 = hash map
+BENCHMARK(BM_TlbAccess);
 
 void BM_MemVersionFlat(benchmark::State& state) {
   // The memory version map access pattern of a replay: write a line on
@@ -77,20 +65,6 @@ void BM_MemVersionFlat(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemVersionFlat);
-
-void BM_MemVersionHash(benchmark::State& state) {
-  // Same access pattern through the legacy unordered_map for comparison.
-  std::unordered_map<LineAddr, std::uint64_t> map;
-  for (LineAddr l = 0; l < (1 << 16); l += 7) map[l] = l;
-  Rng rng(5);
-  for (auto _ : state) {
-    const LineAddr l = rng.next_below(1 << 16);
-    const auto it = map.find(l);
-    benchmark::DoNotOptimize(it == map.end() ? 0 : it->second);
-    if ((l & 7) == 0) map[l] = l;
-  }
-}
-BENCHMARK(BM_MemVersionHash);
 
 void BM_FabricL1Hit(benchmark::State& state) {
   FabricConfig cfg;

@@ -7,13 +7,6 @@
 // cumulative results/BENCH_throughput.json keyed by RunSpec::key() (same
 // line-per-entry merge format as BENCH_grid.json).
 //
-// --compare-legacy additionally re-runs every config with the pre-flat
-// structures (RACCD_LEGACY_STRUCTURES path: unordered_map memory-version map
-// and TLB index, AoS tag probes, unmemoized NCRT scans), asserts the two
-// paths produce bit-identical SimStats, and exits non-zero if the optimized
-// structures are ever >25% *slower* than the legacy ones — the CI
-// throughput-smoke regression gate.
-//
 // --trace-ab measures the cost of event tracing compiled-in-but-off: each
 // rep runs the same simulation twice back to back — null sink, then a sink
 // armed with every category filtered off, so every instrumentation guard
@@ -33,6 +26,7 @@
 
 #include "raccd/apps/registry.hpp"
 #include "raccd/common/format.hpp"
+#include "raccd/common/parse.hpp"
 #include "raccd/harness/experiment.hpp"
 #include "raccd/harness/sweep_cache.hpp"
 #include "raccd/obs/trace_sink.hpp"
@@ -198,31 +192,23 @@ struct Measurement {
 int run(int argc, char** argv) {
   BenchOptions opts = BenchOptions::parse(argc, argv);
   unsigned reps = 3;
-  bool compare_legacy = false;
   bool trace_ab = false;
   double max_trace_pct = 2.0;
   for (int i = 1; i < argc; ++i) {
+    std::string err;
     if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::max(1u, static_cast<unsigned>(std::strtoul(argv[i] + 7, nullptr, 10)));
-    } else if (std::strcmp(argv[i], "--compare-legacy") == 0) {
-      compare_legacy = true;
+      err = parse_number(argv[i] + 7, 1u, 1000u, reps);
     } else if (std::strcmp(argv[i], "--trace-ab") == 0) {
       trace_ab = true;
     } else if (std::strncmp(argv[i], "--max-trace-pct=", 16) == 0) {
-      max_trace_pct = std::atof(argv[i] + 16);
+      err = parse_number(argv[i] + 16, 0.0, 1000.0, max_trace_pct);
+    }
+    if (!err.empty()) {
+      std::fprintf(stderr, "throughput: %s: %s\n", argv[i], err.c_str());
+      return 2;
     }
   }
   if (trace_ab) return trace_ab_gate(opts, reps, max_trace_pct);
-  // The A/B comparison toggles the process-global RACCD_LEGACY_STRUCTURES
-  // flag around each measurement — concurrent workers would race on it and
-  // measure a mix of both structure sets. Reject the combination up front
-  // rather than producing silently corrupt timings.
-  if (compare_legacy && opts.run.jobs > 1) {
-    std::fprintf(stderr,
-                 "throughput: --compare-legacy requires --jobs=1 (it toggles the "
-                 "process-global legacy-structures flag per measurement)\n");
-    return 2;
-  }
 
   // The throughput grid: the two replay-heaviest workloads (jacobi streams,
   // synthetic with a footprint that overflows the scaled 2 MB LLC), the two
@@ -246,11 +232,8 @@ int run(int argc, char** argv) {
   }
 
   std::vector<std::pair<std::string, std::string>> json;
-  const bool initial_legacy = legacy_structures();
-  bool stats_mismatch = false;
-  bool perf_regression = false;
-  std::printf("%-34s %-7s %-6s %-6s %14s %14s%s\n", "workload", "mode", "topo", "dram",
-              "Mcycles/s", "Macc/s", compare_legacy ? "   vs legacy" : "");
+  std::printf("%-34s %-7s %-6s %-6s %14s %14s\n", "workload", "mode", "topo", "dram",
+              "Mcycles/s", "Macc/s");
   for (std::size_t slot = 0; slot < grid.size(); ++slot) {
     if (slot % opts.run.shard_count != opts.run.shard_index) continue;
     const Config& c = grid[slot];
@@ -271,42 +254,19 @@ int run(int argc, char** argv) {
     spec.dram = c.dram;
     spec.paper_machine = opts.paper_machine;
 
-    set_legacy_structures(false);
     const Measurement opt = measure(spec, reps);
-    double ratio = 0.0;
-    if (compare_legacy) {
-      set_legacy_structures(true);
-      const Measurement leg = measure(spec, reps);
-      set_legacy_structures(initial_legacy);
-      if (stats_to_text(opt.stats) != stats_to_text(leg.stats)) {
-        std::fprintf(stderr, "FAIL: stats differ between structures for %s\n",
-                     spec.key().c_str());
-        stats_mismatch = true;
-      }
-      ratio = opt.best_wall_s > 0.0 ? leg.best_wall_s / opt.best_wall_s : 0.0;
-      // Regression gate: the flat structures must never cost more than 1/0.75
-      // of the legacy wall time (>25% throughput loss).
-      if (ratio < 0.75) perf_regression = true;
-    } else {
-      set_legacy_structures(initial_legacy);
-    }
-
-    std::printf("%-34s %-7s %-6s %-6s %14.2f %14.2f", c.workload, to_string(c.mode),
+    std::printf("%-34s %-7s %-6s %-6s %14.2f %14.2f\n", c.workload, to_string(c.mode),
                 c.topo, c.dram, opt.sim_cycles_per_sec() / 1e6,
                 opt.accesses_per_sec() / 1e6);
-    if (compare_legacy) std::printf("   %5.2fx", ratio);
-    std::printf("\n");
     std::fflush(stdout);
 
     std::string payload = strprintf(
         "{\"sim_cycles_per_sec\": %.0f, \"accesses_per_sec\": %.0f, "
-        "\"cycles\": %llu, \"accesses\": %llu, \"wall_s\": %.6f, \"reps\": %u",
+        "\"cycles\": %llu, \"accesses\": %llu, \"wall_s\": %.6f, \"reps\": %u}",
         opt.sim_cycles_per_sec(), opt.accesses_per_sec(),
         static_cast<unsigned long long>(opt.stats.cycles),
         static_cast<unsigned long long>(opt.stats.accesses_replayed), opt.best_wall_s,
         reps);
-    if (compare_legacy) payload += strprintf(", \"speedup_vs_legacy\": %.3f", ratio);
-    payload += "}";
     std::string key = spec.key();
     for (char& ch : key) {
       if (ch == '"' || ch == '\\') ch = '_';
@@ -318,15 +278,6 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "warning: could not update %s\n", kThroughputJsonPath);
   } else {
     std::printf("(merged %zu entries into %s)\n", json.size(), kThroughputJsonPath);
-  }
-  if (stats_mismatch) {
-    std::fprintf(stderr, "throughput: FAIL (optimized structures change stats)\n");
-    return 1;
-  }
-  if (perf_regression) {
-    std::fprintf(stderr,
-                 "throughput: FAIL (flat structures >25%% slower than legacy)\n");
-    return 1;
   }
   return 0;
 }

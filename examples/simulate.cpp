@@ -27,6 +27,8 @@
 
 #include "raccd/apps/registry.hpp"
 #include "raccd/apps/trace_capture.hpp"
+#include "raccd/common/bits.hpp"
+#include "raccd/common/parse.hpp"
 #include "raccd/harness/experiment.hpp"
 #include "raccd/metrics/series.hpp"
 #include "raccd/obs/trace_sink.hpp"
@@ -110,6 +112,17 @@ void list_workloads() {
               "or simulate '<name>:k=v,...'\n");
 }
 
+/// Parse a numeric flag's value strictly into `out`; on a malformed or
+/// out-of-range value print why and the usage, and return false.
+template <typename T>
+bool number_flag(const char* flag, const char* text, T lo, T hi, T& out) {
+  const std::string err = parse_number(text, lo, hi, out);
+  if (err.empty()) return true;
+  std::fprintf(stderr, "%s: %s\n", flag, err.c_str());
+  usage();
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -161,7 +174,7 @@ int main(int argc, char** argv) {
       else if (s == "large") spec.size = SizeClass::kLarge;
       else { usage(); return 1; }
     } else if (std::strncmp(a, "--dir-ratio=", 12) == 0) {
-      spec.dir_ratio = static_cast<std::uint32_t>(std::strtoul(a + 12, nullptr, 10));
+      if (!number_flag("--dir-ratio", a + 12, 1u, 1u << 30, spec.dir_ratio)) return 1;
     } else if (std::strcmp(a, "--adr") == 0) {
       spec.adr = true;
     } else if (std::strcmp(a, "--paper") == 0) {
@@ -173,9 +186,13 @@ int main(int argc, char** argv) {
       else if (s == "worksteal") spec.sched = SchedPolicy::kWorkSteal;
       else { usage(); return 1; }
     } else if (std::strncmp(a, "--ncrt-entries=", 15) == 0) {
-      spec.ncrt_entries = static_cast<std::uint32_t>(std::strtoul(a + 15, nullptr, 10));
+      if (!number_flag("--ncrt-entries", a + 15, 1u, 1u << 16, spec.ncrt_entries)) return 1;
     } else if (std::strncmp(a, "--ncrt-latency=", 15) == 0) {
-      spec.ncrt_latency = std::strtoul(a + 15, nullptr, 10);
+      // RunSpec::key() prints the latency as a 32-bit unsigned.
+      if (!number_flag("--ncrt-latency", a + 15, Cycle{0}, Cycle{0xFFFFFFFF},
+                       spec.ncrt_latency)) {
+        return 1;
+      }
     } else if (std::strcmp(a, "--fragmented") == 0) {
       spec.alloc = AllocPolicy::kFragmented;
     } else if (std::strncmp(a, "--topology=", 11) == 0) {
@@ -190,7 +207,9 @@ int main(int argc, char** argv) {
       else if (p == "il" || p == "interleave") spec.alloc = AllocPolicy::kInterleave;
       else { usage(); return 1; }
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      spec.seed = std::strtoull(a + 7, nullptr, 10);
+      if (!number_flag("--seed", a + 7, std::uint64_t{0}, ~std::uint64_t{0}, spec.seed)) {
+        return 1;
+      }
     } else if (std::strncmp(a, "--sample=", 9) == 0) {
       spec.sampling = a + 9;
     } else if (std::strncmp(a, "--dot=", 6) == 0) {
@@ -207,23 +226,15 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (std::strncmp(a, "--trace-cap=", 12) == 0) {
-      char* end = nullptr;
-      obs_cfg.max_events = std::strtoull(a + 12, &end, 10);
-      if (a[12] == '-' || end == a + 12 || *end != '\0' ||
-          obs_cfg.max_events == 0) {
-        std::fprintf(stderr, "--trace-cap: '%s' is not a positive event count\n",
-                     a + 12);
+      if (!number_flag("--trace-cap", a + 12, std::size_t{1}, ~std::size_t{0},
+                       obs_cfg.max_events)) {
         return 1;
       }
     } else if (std::strncmp(a, "--series=", 9) == 0) {
       series_path = a + 9;
     } else if (std::strncmp(a, "--series-interval=", 18) == 0) {
-      char* end = nullptr;
-      spec.series_interval = std::strtoull(a + 18, &end, 10);
-      // strtoull wraps negatives to huge values — reject the sign up front.
-      if (a[18] == '-' || end == a + 18 || *end != '\0' || spec.series_interval == 0) {
-        std::fprintf(stderr, "--series-interval: '%s' is not a positive cycle count\n",
-                     a + 18);
+      if (!number_flag("--series-interval", a + 18, Cycle{1}, ~Cycle{0},
+                       spec.series_interval)) {
         return 1;
       }
     } else if (std::strncmp(a, "--series-metrics=", 17) == 0) {
@@ -252,11 +263,21 @@ int main(int argc, char** argv) {
     spec.params = params.canonical();
   }
 
-  // Validate the topology/DRAM tokens before config_for() would abort on them.
+  // Validate the topology/DRAM tokens and the directory size before
+  // config_for() would abort on them.
   {
-    SimConfig probe = SimConfig::scaled(spec.mode);
+    SimConfig probe =
+        spec.paper_machine ? SimConfig::paper(spec.mode) : SimConfig::scaled(spec.mode);
     if (const std::string terr = probe.apply_topology(spec.topo); !terr.empty()) {
       std::fprintf(stderr, "--topology=%s: %s\n", spec.topo.c_str(), terr.c_str());
+      return 1;
+    }
+    // A directory needs at least one full set.
+    const std::uint32_t max_ratio = probe.fabric.llc.lines_per_bank / probe.fabric.dir.ways;
+    if (!is_pow2(spec.dir_ratio) || spec.dir_ratio > max_ratio) {
+      std::fprintf(stderr, "--dir-ratio=%u: must be a power of two in [1, %u]\n",
+                   spec.dir_ratio, max_ratio);
+      usage();
       return 1;
     }
     if (const std::string derr = probe.apply_dram(spec.dram); !derr.empty()) {

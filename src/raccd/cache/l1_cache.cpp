@@ -8,7 +8,6 @@ namespace raccd {
 L1Cache::L1Cache(const L1Geometry& geo)
     : sets_(geo.sets()),
       ways_(geo.ways),
-      legacy_(legacy_structures()),
       repl_(geo.repl, geo.sets(), geo.ways) {
   RACCD_ASSERT(is_pow2(sets_), "L1 set count must be a power of two");
   lines_.resize(static_cast<std::size_t>(sets_) * ways_);
@@ -17,16 +16,9 @@ L1Cache::L1Cache(const L1Geometry& geo)
 
 L1Line* L1Cache::find(LineAddr line) noexcept {
   const std::uint32_t set = set_of(line);
-  if (!legacy_) {
-    const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (tags[w] == line) return &at(set, w);
-    }
-    return nullptr;
-  }
+  const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    L1Line& l = at(set, w);
-    if (l.valid && l.line == line) return &l;
+    if (tags[w] == line) return &at(set, w);
   }
   return nullptr;
 }

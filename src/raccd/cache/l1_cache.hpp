@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "raccd/cache/replacement.hpp"
-#include "raccd/common/flat_map.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
@@ -110,7 +109,6 @@ class L1Cache {
 
   std::uint32_t sets_;
   std::uint32_t ways_;
-  bool legacy_;  ///< RACCD_LEGACY_STRUCTURES: probe the AoS structs instead
   std::vector<L1Line> lines_;
   /// SoA mirror of (valid, line): find() scans this contiguous vector — the
   /// whole set's tags share one host cache line — instead of striding the

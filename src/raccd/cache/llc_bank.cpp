@@ -9,7 +9,6 @@ LlcBank::LlcBank(const LlcGeometry& geo)
     : sets_(geo.sets()),
       ways_(geo.ways),
       bank_bits_(geo.bank_bits),
-      legacy_(legacy_structures()),
       repl_(geo.repl, geo.sets(), geo.ways) {
   RACCD_ASSERT(is_pow2(sets_), "LLC bank set count must be a power of two");
   lines_.resize(static_cast<std::size_t>(sets_) * ways_);
@@ -18,16 +17,9 @@ LlcBank::LlcBank(const LlcGeometry& geo)
 
 LlcLine* LlcBank::find(LineAddr line) noexcept {
   const std::uint32_t set = set_of(line);
-  if (!legacy_) {
-    const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (tags[w] == line) return &at(set, w);
-    }
-    return nullptr;
-  }
+  const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    LlcLine& l = at(set, w);
-    if (l.valid && l.line == line) return &l;
+    if (tags[w] == line) return &at(set, w);
   }
   return nullptr;
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "raccd/cache/replacement.hpp"
-#include "raccd/common/flat_map.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
@@ -87,7 +86,6 @@ class LlcBank {
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint32_t bank_bits_;
-  bool legacy_;  ///< RACCD_LEGACY_STRUCTURES: probe the AoS structs instead
   std::vector<LlcLine> lines_;
   /// SoA mirror of (valid, line); find() scans this contiguous vector.
   std::vector<LineAddr> tags_;

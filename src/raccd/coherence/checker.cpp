@@ -10,22 +10,12 @@ namespace raccd {
 
 void CoherenceChecker::on_store(LineAddr line, std::uint64_t version) {
   ++stores_seen_;
-  if (!legacy_) {
-    golden_flat_.set(line, version);
-  } else {
-    golden_[line] = version;
-  }
+  golden_flat_.set(line, version);
 }
 
 void CoherenceChecker::on_load(LineAddr line, std::uint64_t observed) {
   ++loads_checked_;
-  std::uint64_t expected;
-  if (!legacy_) {
-    expected = golden_flat_.get(line);
-  } else {
-    const auto it = golden_.find(line);
-    expected = it == golden_.end() ? 0 : it->second;
-  }
+  const std::uint64_t expected = golden_flat_.get(line);
   if (observed != expected) fail(line, expected, observed);
 }
 

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "raccd/common/flat_map.hpp"
@@ -45,12 +44,9 @@ class CoherenceChecker {
   void fail(LineAddr line, std::uint64_t expected, std::uint64_t observed);
 
   bool strict_;
-  bool legacy_ = legacy_structures();
   /// Shadow version of the last store to every line, consulted on every
-  /// load — a hot line-granular map. Paged direct array by default (absent
-  /// = 0, same as the map); legacy unordered_map behind the A/B toggle.
+  /// load — a hot line-granular map, so a paged direct array (absent = 0).
   PagedLineMap golden_flat_;
-  std::unordered_map<LineAddr, std::uint64_t> golden_;  ///< legacy path
   std::uint64_t violations_ = 0;
   std::uint64_t loads_checked_ = 0;
   std::uint64_t stores_seen_ = 0;

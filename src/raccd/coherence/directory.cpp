@@ -10,7 +10,6 @@ DirectoryBank::DirectoryBank(const DirGeometry& geo)
       active_sets_(total_sets_),
       ways_(geo.ways),
       bank_bits_(geo.bank_bits),
-      legacy_(legacy_structures()),
       repl_policy_(geo.repl),
       repl_(geo.repl, total_sets_, geo.ways) {
   RACCD_ASSERT(is_pow2(total_sets_), "directory bank set count must be a power of two");
@@ -20,16 +19,9 @@ DirectoryBank::DirectoryBank(const DirGeometry& geo)
 
 DirEntry* DirectoryBank::find(LineAddr line) noexcept {
   const std::uint32_t set = set_of(line);
-  if (!legacy_) {
-    const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (tags[w] == line) return &at(set, w);
-    }
-    return nullptr;
-  }
+  const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    DirEntry& e = at(set, w);
-    if (e.valid && e.line == line) return &e;
+    if (tags[w] == line) return &at(set, w);
   }
   return nullptr;
 }

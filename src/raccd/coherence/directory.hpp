@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "raccd/cache/replacement.hpp"
-#include "raccd/common/flat_map.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
@@ -107,7 +106,6 @@ class DirectoryBank {
   std::uint32_t active_sets_;
   std::uint32_t ways_;
   std::uint32_t bank_bits_;
-  bool legacy_;  ///< RACCD_LEGACY_STRUCTURES: probe the AoS structs instead
   ReplPolicy repl_policy_;
   std::vector<DirEntry> entries_;
   /// SoA mirror of (valid, line); find() scans this contiguous vector.

@@ -1,6 +1,7 @@
 #include "raccd/coherence/fabric.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "raccd/coherence/checker.hpp"
 #include "raccd/common/assert.hpp"
@@ -106,8 +107,7 @@ double BlockClassifier::noncoherent_fraction() const noexcept {
 // ---------------------------------------------------------------------------
 
 Fabric::Fabric(const FabricConfig& cfg, CoherenceChecker* checker)
-    : cfg_(cfg), energy_(cfg.energy), mesh_(cfg.mesh, cfg.topo, cfg.cores),
-      legacy_(legacy_structures()), checker_(checker) {
+    : cfg_(cfg), energy_(cfg.energy), mesh_(cfg.mesh, cfg.topo, cfg.cores), checker_(checker) {
   RACCD_ASSERT(is_pow2(cfg_.cores), "core count must be a power of two");
   RACCD_ASSERT(cfg_.cores <= 64, "sharer vector limited to 64 cores");
   RACCD_ASSERT(mesh_.node_count() == cfg_.cores, "mesh geometry must match core count");
@@ -150,22 +150,9 @@ Fabric::Fabric(const FabricConfig& cfg, CoherenceChecker* checker)
       mc_of_[mc] = it->second;
     }
   }
-  if (legacy_) {
-    // Bounded pre-size: writeback versions are keyed by physical line, and
-    // rehashing an unbounded map mid-run is what the hint avoids. Cap at a
-    // multiple of the machine's total LLC lines — the scale of plausible
-    // writeback working sets — so multi-GB phys spaces don't make every
-    // (possibly tiny) Machine pay a megabytes-large bucket array up front.
-    const std::uint64_t cap = std::max<std::uint64_t>(
-        4096, 8ull * cfg_.llc.lines_per_bank * cfg_.cores);
-    mem_version_.reserve(static_cast<std::size_t>(
-        std::min(std::max<std::uint64_t>(cfg_.phys_lines_hint, 4096), cap)));
-  } else {
-    // The paged array needs no size cap: only its chunk directory scales with
-    // the hint (one pointer per 4096 lines); data chunks allocate on first
-    // write to their region.
-    mem_flat_.reserve_lines(cfg_.phys_lines_hint);
-  }
+  // Only the chunk directory scales with the hint (one pointer per 4096
+  // lines); data chunks allocate on first write to their region.
+  mem_flat_.reserve_lines(cfg_.phys_lines_hint);
 }
 
 // ---------------------------------------------------------------------------
@@ -204,9 +191,7 @@ void Fabric::mark_dir_dirty(BankId b, Cycle now) {
 }
 
 std::uint64_t Fabric::mem_version(LineAddr line) const noexcept {
-  if (!legacy_) return mem_flat_.get(line);
-  const auto it = mem_version_.find(line);
-  return it == mem_version_.end() ? 0 : it->second;
+  return mem_flat_.get(line);
 }
 
 void Fabric::store_version_bump(L1Line& l, LineAddr line) {
@@ -416,11 +401,7 @@ void Fabric::mem_writeback(BankId b, LineAddr line, std::uint64_t version, Cycle
       trace_dram(mc_of_[mc], out, now + leg);
     }
   }
-  if (!legacy_) {
-    mem_flat_.set(line, version);
-  } else {
-    mem_version_[line] = version;
-  }
+  mem_flat_.set(line, version);
 }
 
 void Fabric::handle_l1_victim(CoreId c, const L1Line& victim, Cycle now) {

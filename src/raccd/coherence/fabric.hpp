@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "raccd/cache/l1_cache.hpp"
@@ -260,13 +259,10 @@ class Fabric {
   /// NUMA); empty under the kSimple model. mc_of_[node] indexes dram_.
   std::vector<DramController> dram_;
   std::vector<std::uint32_t> mc_of_;
-  bool legacy_;  ///< RACCD_LEGACY_STRUCTURES: hash map instead of paged array
   /// Checker shadow version of every line in memory. The paged direct array
-  /// (absent = 0, like the map) makes the per-writeback/per-read lookup a
-  /// shift+index instead of a hash probe; legacy_ keeps the original map for
-  /// bench/throughput A/B runs.
+  /// (absent = 0) makes the per-writeback/per-read lookup a shift+index
+  /// instead of a hash probe.
   PagedLineMap mem_flat_;
-  std::unordered_map<LineAddr, std::uint64_t> mem_version_;  ///< legacy path
   std::vector<double> dir_access_pj_;  ///< cached per-bank per-access energy
   /// Per-access LLC energy; every bank has the same fixed capacity.
   double llc_access_pj_ = 0.0;

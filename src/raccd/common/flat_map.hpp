@@ -16,57 +16,17 @@
 //    TLB entry count (load factor <= 0.25), so probes are contiguous and
 //    short.
 //
-// Every structure keeps the legacy std::unordered_map behavior reachable via
-// RACCD_LEGACY_STRUCTURES=1 (read once, overridable in-process for A/B
-// benchmarking); bench/throughput measures the two builds against each other
-// and the golden tests assert they produce bit-identical SimStats.
+// The stats golden (tests/test_loop_golden.cpp) pins that these structures
+// produce the same simulated results as the hash maps they replaced.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "raccd/common/types.hpp"
 
 namespace raccd {
-
-namespace detail {
-/// -1 = no in-process override (fall through to the environment); 0/1 = the
-/// set_legacy_structures value. The environment is never written here, so a
-/// concurrent first-use can't clobber an override (the lost-update race the
-/// old read-env-then-store sequence had under the parallel sweep executor).
-inline std::atomic<int> legacy_structures_override{-1};
-
-/// RACCD_LEGACY_STRUCTURES, read exactly once (thread-safe magic static) and
-/// immutable for the life of the process.
-[[nodiscard]] inline bool legacy_structures_env() noexcept {
-  static const bool v = [] {
-    const char* e = std::getenv("RACCD_LEGACY_STRUCTURES");
-    return e != nullptr && e[0] == '1';
-  }();
-  return v;
-}
-}  // namespace detail
-
-/// True when the legacy (pre-flat) hash-map structures should be used.
-/// Safe to call from concurrent Machine constructions (-jN sweeps): the env
-/// is folded into an immutable value on first use and the override is a
-/// single atomic. Structures capture the value at construction.
-[[nodiscard]] inline bool legacy_structures() noexcept {
-  const int v = detail::legacy_structures_override.load(std::memory_order_acquire);
-  return v >= 0 ? v == 1 : detail::legacy_structures_env();
-}
-
-/// In-process A/B override (bench/throughput --compare-legacy, unit tests).
-/// Toggling mid-sweep is only meaningful under --jobs=1: with concurrent
-/// workers there is no useful ordering between a toggle and the Machines
-/// being constructed on other threads (each captures whichever value it
-/// observes — race-free, but not the A/B the caller intended).
-inline void set_legacy_structures(bool on) noexcept {
-  detail::legacy_structures_override.store(on ? 1 : 0, std::memory_order_release);
-}
 
 /// Chunked direct array over LineAddr keys with an implicit default of 0.
 /// get() on an untouched line returns 0 without allocating; set() allocates

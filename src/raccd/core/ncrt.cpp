@@ -6,8 +6,7 @@
 
 namespace raccd {
 
-Ncrt::Ncrt(std::uint32_t capacity)
-    : capacity_(capacity), legacy_(legacy_structures()) {
+Ncrt::Ncrt(std::uint32_t capacity) : capacity_(capacity) {
   RACCD_ASSERT(capacity_ > 0, "NCRT needs at least one entry");
   entries_.reserve(capacity_);
 }
@@ -32,19 +31,9 @@ bool Ncrt::insert(PAddr start, PAddr end) {
 
 bool Ncrt::lookup(PAddr pa) noexcept {
   ++stats_.lookups;
-  if (!legacy_ && memo_.contains(pa)) {
+  if (memo_.contains(pa)) {
     if (memo_hit_) ++stats_.hits;
     return memo_hit_;
-  }
-  if (legacy_) {
-    // Pre-flat behavior: unconditional scan of every entry, no memo.
-    for (const AddrRange& r : entries_) {
-      if (r.contains(pa)) {
-        ++stats_.hits;
-        return true;
-      }
-    }
-    return false;
   }
   // Sorted early-exit scan. While scanning, derive the bracketing interval
   // over which the answer is constant and memoize it: the containing region

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "raccd/common/flat_map.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
@@ -61,7 +60,6 @@ class Ncrt {
 
  private:
   std::uint32_t capacity_;
-  bool legacy_;  ///< RACCD_LEGACY_STRUCTURES: full scan, no memo (A/B bench)
   std::vector<AddrRange> entries_;  ///< sorted by begin
   AddrRange memo_{0, 0};  ///< interval with a constant answer; empty = none
   bool memo_hit_ = false;

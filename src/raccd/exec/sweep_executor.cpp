@@ -172,8 +172,7 @@ std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
       // Nothing to simulate (all cached): no workers, but the summary below
       // still reports the cache hits.
     } else if (jobs == 1) {
-      // Inline serial path: the historical behavior, and the only mode in
-      // which per-process RACCD_LEGACY_STRUCTURES A/B toggling is sound.
+      // Inline serial path: the historical behavior, with no pool threads.
       for (const std::size_t i : todo) {
         if (stop.load(std::memory_order_relaxed)) break;  // drain semantics
         run_slot(i, ProgressReporter::kNoWorker);

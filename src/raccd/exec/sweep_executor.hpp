@@ -29,8 +29,8 @@
 //    abort the process — those are simulator invariants, not run failures.
 //
 // jobs == 1 runs every spec inline on the calling thread (no pool, exactly
-// the historical serial path) — required for RACCD_LEGACY_STRUCTURES /
-// set_legacy_structures A/B toggling, which is per-process state.
+// the historical serial path): no thread start-up, and a debugger or
+// profiler sees one stack.
 #pragma once
 
 #include <string>

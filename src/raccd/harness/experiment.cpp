@@ -3,11 +3,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 #include "raccd/apps/registry.hpp"
 #include "raccd/common/assert.hpp"
 #include "raccd/common/format.hpp"
+#include "raccd/common/parse.hpp"
 #include "raccd/exec/sweep_executor.hpp"
 #include "raccd/harness/sweep_cache.hpp"  // kStatsFormatVersion in RunSpec::key()
 
@@ -209,24 +211,29 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
   if (const char* env = std::getenv("RACCD_SIZE")) apply_size(env);
   if (std::getenv("RACCD_PAPER") != nullptr) o.paper_machine = true;
   if (std::getenv("RACCD_NO_CACHE") != nullptr) o.run.use_cache = false;
+  // 0 = hardware concurrency. A sweep on a misread worker count would run,
+  // so junk refuses to start.
+  const auto apply_jobs = [&o](const char* what, const char* text) {
+    if (const std::string err = parse_number(text, 0u, 1024u, o.run.jobs); !err.empty()) {
+      std::fprintf(stderr, "%s: %s\n", what, err.c_str());
+      std::exit(2);
+    }
+  };
   // RACCD_THREADS is the legacy spelling of RACCD_JOBS; RACCD_JOBS wins.
-  if (const char* env = std::getenv("RACCD_THREADS")) {
-    o.run.jobs = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  }
-  if (const char* env = std::getenv("RACCD_JOBS")) {
-    o.run.jobs = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  }
+  if (const char* env = std::getenv("RACCD_THREADS")) apply_jobs("RACCD_THREADS", env);
+  if (const char* env = std::getenv("RACCD_JOBS")) apply_jobs("RACCD_JOBS", env);
   const auto apply_shard = [&o](const char* text) {
-    char* end = nullptr;
-    const unsigned long idx = std::strtoul(text, &end, 10);
-    unsigned long cnt = 0;
-    if (end != nullptr && *end == '/') cnt = std::strtoul(end + 1, nullptr, 10);
-    if (cnt == 0 || idx >= cnt) {
+    const std::string_view t(text);
+    const std::size_t slash = t.find('/');
+    unsigned idx = 0, cnt = 0;
+    if (slash == std::string_view::npos ||
+        !parse_number(t.substr(0, slash), 0u, ~0u, idx).empty() ||
+        !parse_number(t.substr(slash + 1), 1u, ~0u, cnt).empty() || idx >= cnt) {
       std::fprintf(stderr, "--shard %s: expected i/N with i < N\n", text);
       std::exit(2);
     }
-    o.run.shard_index = static_cast<unsigned>(idx);
-    o.run.shard_count = static_cast<unsigned>(cnt);
+    o.run.shard_index = idx;
+    o.run.shard_count = cnt;
   };
   if (const char* env = std::getenv("RACCD_SHARD")) apply_shard(env);
   const auto apply_set = [&o](const char* text) {
@@ -249,21 +256,13 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
     else if (std::strcmp(a, "--paper") == 0) o.paper_machine = true;
     else if (std::strcmp(a, "--no-cache") == 0) o.run.use_cache = false;
     else if (std::strcmp(a, "--verbose") == 0) o.run.verbose = true;
-    else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      o.run.jobs = static_cast<unsigned>(std::strtoul(a + 7, nullptr, 10));
-    } else if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc) {
-      o.run.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strncmp(a, "-j", 2) == 0 && a[2] >= '0' && a[2] <= '9') {
-      o.run.jobs = static_cast<unsigned>(std::strtoul(a + 2, nullptr, 10));
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {  // legacy alias
-      o.run.jobs = static_cast<unsigned>(std::strtoul(a + 10, nullptr, 10));
-    } else if (std::strncmp(a, "--shard=", 8) == 0) {
-      apply_shard(a + 8);
-    } else if (std::strncmp(a, "--set=", 6) == 0) {
-      apply_set(a + 6);
-    } else if (std::strcmp(a, "--set") == 0 && i + 1 < argc) {
-      apply_set(argv[++i]);
-    }
+    else if (std::strncmp(a, "--jobs=", 7) == 0) apply_jobs("--jobs", a + 7);
+    else if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc) apply_jobs("--jobs", argv[++i]);
+    else if (std::strncmp(a, "-j", 2) == 0 && a[2] >= '0' && a[2] <= '9') apply_jobs("-j", a + 2);
+    else if (std::strncmp(a, "--threads=", 10) == 0) apply_jobs("--threads", a + 10);  // alias
+    else if (std::strncmp(a, "--shard=", 8) == 0) apply_shard(a + 8);
+    else if (std::strncmp(a, "--set=", 6) == 0) apply_set(a + 6);
+    else if (std::strcmp(a, "--set") == 0 && i + 1 < argc) apply_set(argv[++i]);
   }
   return o;
 }

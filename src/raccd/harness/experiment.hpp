@@ -101,8 +101,8 @@ struct RunSpec {
 
 struct RunOptions {
   /// Worker threads for the sweep (--jobs). 0 = hardware concurrency;
-  /// 1 = serial inline on the calling thread (the historical behavior, and
-  /// required for per-process RACCD_LEGACY_STRUCTURES A/B toggling).
+  /// 1 = serial inline on the calling thread (the historical behavior; no
+  /// pool threads).
   unsigned jobs = 0;
   bool use_cache = true;    ///< file-backed cache under cache_dir
   std::string cache_dir = "results/cache";

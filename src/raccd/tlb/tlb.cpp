@@ -5,33 +5,11 @@
 namespace raccd {
 
 Tlb::Tlb(std::uint32_t capacity)
-    : capacity_(capacity), legacy_(legacy_structures()), flat_(capacity) {
+    : capacity_(capacity), flat_(capacity) {
   RACCD_ASSERT(capacity_ > 0, "TLB needs at least one entry");
   entries_.resize(capacity_);
   free_.reserve(capacity_);
   for (std::uint32_t i = 0; i < capacity_; ++i) free_.push_back(capacity_ - 1 - i);
-  if (legacy_) index_.reserve(capacity_ * 2);
-}
-
-std::uint32_t* Tlb::legacy_find(PageNum vpage) noexcept {
-  const auto it = index_.find(vpage);
-  return it == index_.end() ? nullptr : &it->second;
-}
-
-void Tlb::index_insert(PageNum vpage, std::uint32_t slot) {
-  if (legacy_) {
-    index_.emplace(vpage, slot);
-  } else {
-    flat_.insert(vpage, slot);
-  }
-}
-
-void Tlb::index_erase(PageNum vpage) noexcept {
-  if (legacy_) {
-    index_.erase(vpage);
-  } else {
-    flat_.erase(vpage);
-  }
 }
 
 void Tlb::unlink(std::uint32_t slot) noexcept {
@@ -64,7 +42,7 @@ Tlb::Result Tlb::access(PageNum vpage, const PageTable& pt) {
     ++stats_.hits;
     return Result{true, last_pframe_};
   }
-  if (const std::uint32_t* found = index_find(vpage)) {
+  if (const std::uint32_t* found = flat_.find(vpage)) {
     ++stats_.hits;
     const std::uint32_t slot = *found;
     if (slot != head_) {
@@ -85,44 +63,40 @@ Tlb::Result Tlb::access(PageNum vpage, const PageTable& pt) {
   } else {
     slot = tail_;
     ++stats_.evictions;
-    index_erase(entries_[slot].vpage);
+    flat_.erase(entries_[slot].vpage);
     unlink(slot);
   }
   entries_[slot].vpage = vpage;
   entries_[slot].pframe = pframe;
   push_front(slot);
-  index_insert(vpage, slot);
+  flat_.insert(vpage, slot);
   last_vpage_ = vpage;
   last_pframe_ = pframe;
   return Result{false, pframe};
 }
 
 bool Tlb::invalidate(PageNum vpage) {
-  const std::uint32_t* found = index_find(vpage);
+  const std::uint32_t* found = flat_.find(vpage);
   if (found == nullptr) return false;
   ++stats_.shootdowns;
   const std::uint32_t slot = *found;
   unlink(slot);
   free_.push_back(slot);
-  index_erase(vpage);
+  flat_.erase(vpage);
   if (last_vpage_ == vpage) last_vpage_ = ~PageNum{0};
   return true;
 }
 
 void Tlb::flush() {
-  // Walk the LRU chain (valid entries exactly) so both index variants flush
-  // the same way, then reset the index wholesale.
+  // Walk the LRU chain (valid entries exactly), then reset the index
+  // wholesale.
   for (std::uint32_t slot = head_; slot != kNil;) {
     const std::uint32_t next = entries_[slot].next;
     entries_[slot].prev = entries_[slot].next = kNil;
     free_.push_back(slot);
     slot = next;
   }
-  if (legacy_) {
-    index_.clear();
-  } else {
-    flat_.clear();
-  }
+  flat_.clear();
   head_ = tail_ = kNil;
   last_vpage_ = ~PageNum{0};
 }

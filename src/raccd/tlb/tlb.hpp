@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "raccd/common/flat_map.hpp"
@@ -44,11 +43,9 @@ class Tlb {
   void flush();
 
   [[nodiscard]] bool contains(PageNum vpage) const noexcept {
-    return const_cast<Tlb*>(this)->index_find(vpage) != nullptr;
+    return const_cast<Tlb*>(this)->flat_.find(vpage) != nullptr;
   }
-  [[nodiscard]] std::uint32_t size() const noexcept {
-    return legacy_ ? static_cast<std::uint32_t>(index_.size()) : flat_.size();
-  }
+  [[nodiscard]] std::uint32_t size() const noexcept { return flat_.size(); }
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const TlbStats& stats() const noexcept { return stats_; }
 
@@ -64,22 +61,10 @@ class Tlb {
   void unlink(std::uint32_t slot) noexcept;
   void push_front(std::uint32_t slot) noexcept;
 
-  // vpage -> slot index, behind the legacy toggle: the open-addressed flat
-  // table is the per-access default; RACCD_LEGACY_STRUCTURES=1 keeps the
-  // original unordered_map (bench/throughput A/B-tests the two).
-  [[nodiscard]] std::uint32_t* index_find(PageNum vpage) noexcept {
-    return legacy_ ? legacy_find(vpage) : flat_.find(vpage);
-  }
-  [[nodiscard]] std::uint32_t* legacy_find(PageNum vpage) noexcept;
-  void index_insert(PageNum vpage, std::uint32_t slot);
-  void index_erase(PageNum vpage) noexcept;
-
   std::uint32_t capacity_;
-  bool legacy_;
   std::vector<Entry> entries_;          // slot storage
   std::vector<std::uint32_t> free_;     // free slots
-  std::unordered_map<PageNum, std::uint32_t> index_;  // legacy path only
-  OpenPageMap flat_;
+  OpenPageMap flat_;                    // vpage -> slot index
   std::uint32_t head_ = kNil;  // most recently used
   std::uint32_t tail_ = kNil;  // least recently used
   // Single-entry filter for the common same-page-as-last-access case; keeps

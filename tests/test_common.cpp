@@ -3,6 +3,7 @@
 #include "raccd/common/bits.hpp"
 #include "raccd/common/format.hpp"
 #include "raccd/common/math.hpp"
+#include "raccd/common/parse.hpp"
 #include "raccd/common/rng.hpp"
 #include "raccd/common/types.hpp"
 
@@ -100,6 +101,39 @@ TEST(Format, Strings) {
   EXPECT_EQ(format_count(1), "1");
   EXPECT_EQ(format_count(1234), "1,234");
   EXPECT_EQ(format_count(1234567), "1,234,567");
+}
+
+TEST(ParseNumber, AcceptsWholeFieldsInRange) {
+  unsigned u = 99;
+  EXPECT_EQ(parse_number("0", 0u, 8u, u), "");
+  EXPECT_EQ(u, 0u);
+  EXPECT_EQ(parse_number("8", 0u, 8u, u), "");
+  EXPECT_EQ(u, 8u);
+  EXPECT_EQ(parse_number("007", 0u, 8u, u), "");
+  EXPECT_EQ(u, 7u);
+  std::uint64_t big = 0;
+  EXPECT_EQ(parse_number("18446744073709551615", std::uint64_t{0}, ~std::uint64_t{0}, big),
+            "");
+  EXPECT_EQ(big, ~std::uint64_t{0});
+  double d = 0.0;
+  EXPECT_EQ(parse_number("2.5", 0.0, 100.0, d), "");
+  EXPECT_EQ(d, 2.5);
+}
+
+TEST(ParseNumber, RejectsWhatStrtoulWouldAccept) {
+  for (const char* junk : {"", "abc", "-1", "+1", " 1", "1 ", "12abc", "0x10", "1.0", "9",
+                           "18446744073709551616"}) {
+    unsigned u = 5;
+    const std::string err = parse_number(junk, 1u, 8u, u);
+    EXPECT_NE(err, "") << "'" << junk << "'";
+    EXPECT_EQ(u, 5u) << "'" << junk << "' changed the output";
+  }
+  unsigned u = 0;
+  EXPECT_EQ(parse_number("0", 1u, 8u, u), "'0' is not a number in [1, 8]");
+  for (const char* junk : {"", "-1", "+1", "nan", "inf", ".5", "1e9", "2%", "101"}) {
+    double d = 0.0;
+    EXPECT_NE(parse_number(junk, 0.0, 100.0, d), "") << "'" << junk << "'";
+  }
 }
 
 }  // namespace

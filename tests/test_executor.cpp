@@ -1,9 +1,9 @@
 // Exec subsystem tests: the work-stealing pool (stealing, exception
 // propagation, shutdown with queued work), the mutex-guarded progress
 // reporter, and the SweepExecutor's contracts — byte-identical -j1 vs -j4
-// output, same-key cache races, failure containment, and the race-free
-// legacy-structures flag. This binary also runs under the ThreadSanitizer
-// CI job, so every test here doubles as a TSan workload.
+// output, same-key cache races and failure containment. This binary also
+// runs under the ThreadSanitizer CI job, so every test here doubles as a
+// TSan workload.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "raccd/common/flat_map.hpp"
 #include "raccd/exec/progress.hpp"
 #include "raccd/exec/sweep_executor.hpp"
 #include "raccd/exec/work_steal_pool.hpp"
@@ -436,31 +435,6 @@ TEST(SweepExecutorDeathTest, RunAllReportsFailingKeyThenAborts) {
   opts.jobs = 1;
   opts.use_cache = false;
   EXPECT_DEATH((void)run_all({bad}, opts), "no-such-workload");
-}
-
-// -- Legacy-structures flag under concurrency ---------------------------------
-
-// TSan coverage for the immutable-env + atomic-override read path: hammer
-// legacy_structures() from several threads while another toggles the
-// in-process override. (Per the documented contract, *meaningful* A/B
-// toggling requires -j1 — this test only asserts race-freedom, not
-// which value any reader observes.)
-TEST(LegacyStructuresFlag, ConcurrentReadsAndTogglesAreRaceFree) {
-  std::atomic<std::uint64_t> reads{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < 20000; ++i) {
-        (void)legacy_structures();
-        ++reads;
-      }
-    });
-  }
-  for (int i = 0; i < 2000; ++i) set_legacy_structures(i % 2 == 0);
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(reads.load(), 4u * 20000u);
-  set_legacy_structures(false);  // leave the process in the default state
-  EXPECT_FALSE(legacy_structures());
 }
 
 }  // namespace

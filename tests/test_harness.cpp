@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <vector>
 
 #include "raccd/harness/experiment.hpp"
 #include "raccd/harness/sweep_cache.hpp"
@@ -158,6 +160,44 @@ TEST(BenchOptions, JobsSpellings) {
     const char* argv[] = {"bench", "--threads=7"};
     EXPECT_EQ(BenchOptions::parse(2, const_cast<char**>(argv)).run.jobs, 7u);
   }
+}
+
+TEST(BenchOptionsDeathTest, MalformedJobCountsAreErrors) {
+  // strtoul read each of these as some job count; now the sweep refuses to
+  // start with exit code 2 and names the flag.
+  const auto parse = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "bench");
+    (void)BenchOptions::parse(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+  };
+  EXPECT_EXIT(parse({"--jobs=abc"}), ::testing::ExitedWithCode(2), "--jobs: 'abc'");
+  EXPECT_EXIT(parse({"--jobs=-1"}), ::testing::ExitedWithCode(2), "--jobs: '-1'");
+  EXPECT_EXIT(parse({"--jobs", "4x"}), ::testing::ExitedWithCode(2), "--jobs: '4x'");
+  EXPECT_EXIT(parse({"-j2x"}), ::testing::ExitedWithCode(2), "-j: '2x'");
+  EXPECT_EXIT(parse({"--threads=+3"}), ::testing::ExitedWithCode(2), "--threads: '\\+3'");
+  EXPECT_EXIT(parse({"--jobs=99999"}), ::testing::ExitedWithCode(2),
+              "'99999' is not a number in \\[0, 1024\\]");
+  EXPECT_EXIT(parse({"--shard=1/3x"}), ::testing::ExitedWithCode(2), "--shard");
+  EXPECT_EXIT(
+      {
+        setenv("RACCD_JOBS", "four", 1);
+        parse({});
+      },
+      ::testing::ExitedWithCode(2), "RACCD_JOBS: 'four'");
+  EXPECT_EXIT(
+      {
+        setenv("RACCD_THREADS", "2 ", 1);
+        parse({});
+      },
+      ::testing::ExitedWithCode(2), "RACCD_THREADS: '2 '");
+}
+
+TEST(BenchOptions, WellFormedJobCountsKeepTheirMeaning) {
+  const char* argv[] = {"bench", "--jobs=0"};  // 0 = hardware concurrency
+  EXPECT_EQ(BenchOptions::parse(2, const_cast<char**>(argv)).run.jobs, 0u);
+  const char* shard[] = {"bench", "--shard=2/3"};
+  const auto o = BenchOptions::parse(2, const_cast<char**>(shard));
+  EXPECT_EQ(o.run.shard_index, 2u);
+  EXPECT_EQ(o.run.shard_count, 3u);
 }
 
 }  // namespace

@@ -17,6 +17,13 @@
 // requests and memory fetches across the socket link, first-touch numa4
 // sends NC requests across it, and cmesh routes through shared routers.
 //
+// The rest pin the host structures every simulated access runs through
+// (common/flat_map.hpp, the SoA cache tags, the NCRT memo): every workload
+// that needs no input file under every backend; jacobi and synthetic on
+// flat and numa2; a 1 MB synthetic footprint on numa2 + ddr, the only specs
+// with TLB evictions and memory writebacks; and two ADR specs whose sparse
+// directories shrink and grow.
+//
 // Beside the stats, each entry records the phase-hook and release-hook call
 // sequences (the phase sequence as a hash) and the series, so any reordering
 // of steps shows up as a diff.
@@ -30,10 +37,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "raccd/apps/registry.hpp"
 #include "raccd/harness/experiment.hpp"
 #include "raccd/harness/sweep_cache.hpp"
 #include "raccd/metrics/series.hpp"
@@ -79,6 +89,47 @@ const char* const kGoldenPath = RACCD_TEST_GOLDEN_DIR "/loop_stats.txt";
   RunSpec cmesh = tiny("jacobi", CohMode::kRaCCD);
   cmesh.topo = "cmesh";
   specs.push_back(cmesh);
+
+  // The structure-path specs below are added only when their key is new.
+  auto add = [&specs](const RunSpec& spec) {
+    for (const RunSpec& have : specs) {
+      if (have.key() == spec.key()) return;
+    }
+    specs.push_back(spec);
+  };
+  // Every workload that runs without an input file, under every backend.
+  for (const std::string& name : WorkloadRegistry::instance().names()) {
+    if (name == "tracereplay") continue;
+    for (const CohMode mode : kAllBackends) add(tiny(name, mode));
+  }
+  // Both workload families and systems on both topologies, DDR with RaCCD.
+  for (const char* app : {"jacobi", "synthetic"}) {
+    for (const CohMode mode : {CohMode::kFullCoh, CohMode::kRaCCD}) {
+      for (const char* topo : {"flat", "numa2"}) {
+        RunSpec s = tiny(app, mode);
+        s.topo = topo;
+        s.dram = (mode == CohMode::kRaCCD) ? "ddr" : "simple";
+        add(s);
+      }
+    }
+  }
+  // A footprint past the TLB reach and the LLC: TLB evictions and memory
+  // writebacks, which the tiny defaults never produce.
+  for (const CohMode mode : kAllBackends) {
+    RunSpec s = tiny("synthetic:footprint_kb=1024", mode);
+    s.topo = "numa2";
+    s.dram = "ddr";
+    add(s);
+  }
+  // Sparse directories under ADR: resizes in both directions.
+  RunSpec adr_raccd = tiny("jacobi", CohMode::kRaCCD);
+  adr_raccd.adr = true;
+  adr_raccd.dir_ratio = 8;
+  add(adr_raccd);
+  RunSpec adr_fullcoh = tiny("synthetic", CohMode::kFullCoh);
+  adr_fullcoh.adr = true;
+  adr_fullcoh.dir_ratio = 16;
+  add(adr_fullcoh);
   return specs;
 }
 
@@ -176,6 +227,37 @@ TEST(LoopGolden, GridCoversCrossSocketAndCMeshRoutes) {
   EXPECT_TRUE(coherent_cross);
   EXPECT_TRUE(nc_cross);
   EXPECT_TRUE(cmesh);
+}
+
+TEST(LoopGolden, GridCoversEveryStructurePath) {
+  // Guards the structure coverage: every workload under every backend, and
+  // the TLB, memory-version, ADR-resize and NCRT paths all exercised, so a
+  // wrong answer from any host structure must move some pinned number.
+  std::set<std::pair<std::string, CohMode>> covered;
+  std::uint64_t tlb_evictions = 0, tlb_shootdowns = 0, mem_writes = 0;
+  std::uint64_t adr_grows = 0, adr_shrinks = 0, ncrt_hits = 0;
+  for (const RunSpec& spec : loop_grid()) {
+    const SimStats s = run_one(spec);
+    covered.emplace(spec.app, spec.mode);
+    tlb_evictions += s.tlb.evictions;
+    tlb_shootdowns += s.tlb.shootdowns;
+    mem_writes += s.fabric.mem_writes;
+    adr_grows += s.adr.grows;
+    adr_shrinks += s.adr.shrinks;
+    ncrt_hits += s.ncrt.hits;
+  }
+  for (const std::string& name : WorkloadRegistry::instance().names()) {
+    if (name == "tracereplay") continue;
+    for (const CohMode mode : kAllBackends) {
+      EXPECT_EQ(covered.count({name, mode}), 1u) << name << ' ' << to_string(mode);
+    }
+  }
+  EXPECT_GT(tlb_evictions, 0u);
+  EXPECT_GT(tlb_shootdowns, 0u);
+  EXPECT_GT(mem_writes, 0u);
+  EXPECT_GT(adr_grows, 0u);
+  EXPECT_GT(adr_shrinks, 0u);
+  EXPECT_GT(ncrt_hits, 0u);
 }
 
 TEST(LoopGolden, StatsMatchPinnedGoldenAndParallelSweep) {

@@ -1,19 +1,18 @@
-// Flat-structure equivalence suite: the hot-path structure swaps behind
-// bench/throughput (PagedLineMap, OpenPageMap, SoA tag probes, sorted+memo
-// NCRT) are host-side optimizations only — the modelled machine must be
-// bit-for-bit unchanged. Three layers of insurance:
+// Flat-structure suite: the hot-path structures (PagedLineMap, OpenPageMap,
+// SoA tag probes, sorted+memo NCRT) are host-side optimizations only — the
+// modelled machine must be bit-for-bit unchanged. Two layers here:
 //
-//  1. Unit tests of the new containers against their reference semantics
-//     (default-zero line map, open addressing with backward-shift deletion).
-//  2. Structure-level A/B: legacy and flat L1/LLC/directory/NCRT instances
-//     driven through identical operation sequences must agree on every
-//     observable (find results, victims, stats counters), including across
-//     directory resize.
-//  3. End-to-end golden: run_all over a tiny spec grid (both workload
-//     families, both systems, both topologies, both DRAM models) with the
-//     legacy structures and with the flat ones; stats_to_text must be
-//     byte-identical. Plus the pinned default cache key, so warm sweep
-//     caches stay valid (kStatsFormatVersion not bumped).
+//  1. Unit tests of the containers against reference semantics written in
+//     the test (a hash map for the line map and the page index).
+//  2. Structure-level references: random traffic through L1/LLC/directory
+//     must keep every SoA tag probe in agreement with a scan of the AoS
+//     records, across directory resize; the NCRT and its memo must agree
+//     with a containment scan, counters included.
+//
+// End to end, tests/test_loop_golden.cpp pins the stats of every workload
+// under every backend, so a structure that changes any simulated number
+// fails there. The pinned default cache key below keeps warm sweep caches
+// valid (kStatsFormatVersion not bumped).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,18 +30,6 @@
 
 namespace raccd {
 namespace {
-
-/// RAII guard: run a scope under the given structures, restore after.
-class LegacyScope {
- public:
-  explicit LegacyScope(bool legacy) : prev_(legacy_structures()) {
-    set_legacy_structures(legacy);
-  }
-  ~LegacyScope() { set_legacy_structures(prev_); }
-
- private:
-  bool prev_;
-};
 
 // ---------------------------------------------------------------------------
 // PagedLineMap
@@ -143,189 +130,200 @@ TEST(OpenPageMap, BackwardShiftKeepsCollidedKeysFindable) {
 }
 
 // ---------------------------------------------------------------------------
-// SoA tag probes vs legacy AoS scans
+// SoA tag probes against their AoS records
+//
+// find() probes the SoA tag mirror; for_each_valid() walks the AoS records.
+// The records are the reference: after every operation the line it touched
+// (and any line it displaced) must be found exactly where a scan of the
+// records finds it, and the scanned count must equal the structure's own.
 
-TEST(SoaTags, L1LegacyAndFlatAgreeUnderRandomTraffic) {
-  LegacyScope scope(true);
-  L1Cache legacy{L1Geometry{}};
-  set_legacy_structures(false);
-  L1Cache flat{L1Geometry{}};
+/// find(line) must return the very record a scan of the records finds
+/// (nullptr when none holds the line), and the scanned count must equal
+/// `valid`, the structure's own count.
+template <typename Tags>
+void check_find(const Tags& tags, LineAddr line, std::uint32_t valid) {
+  const void* want = nullptr;
+  std::uint32_t scanned = 0;
+  tags.for_each_valid([&](const auto& rec) {
+    ++scanned;
+    if (rec.line == line) want = &rec;
+  });
+  ASSERT_EQ(static_cast<const void*>(tags.find(line)), want) << "line " << line;
+  ASSERT_EQ(scanned, valid);
+}
+
+/// Valid records the scan finds in `line`'s set.
+template <typename Tags>
+[[nodiscard]] std::uint32_t scan_set(const Tags& tags, LineAddr line) {
+  std::uint32_t n = 0;
+  tags.for_each_valid(
+      [&](const auto& rec) { n += tags.set_of(rec.line) == tags.set_of(line); });
+  return n;
+}
+
+/// Every scanned record is what find() returns for its line (which also
+/// rules out a line resident twice).
+template <typename Tags>
+void expect_every_record_findable(const Tags& tags) {
+  tags.for_each_valid([&](const auto& rec) {
+    EXPECT_EQ(static_cast<const void*>(tags.find(rec.line)), &rec) << "line " << rec.line;
+  });
+}
+
+TEST(SoaTags, L1FindMatchesRecordScanUnderRandomTraffic) {
+  L1Cache l1{L1Geometry{}};
   Rng rng(13);
   for (int i = 0; i < 50000; ++i) {
     const LineAddr line = rng.next_below(2048);  // 4x capacity: many conflicts
     switch (rng.next_below(3)) {
-      case 0: {
-        const L1Line* a = legacy.find(line);
-        const L1Line* b = flat.find(line);
-        ASSERT_EQ(a == nullptr, b == nullptr) << "line " << line;
-        if (a != nullptr) {
-          EXPECT_EQ(a->line, b->line);
-          EXPECT_EQ(a->version, b->version);
-        }
-        break;
-      }
+      case 0:
+        break;  // lookup only
       case 1: {
-        if (legacy.find(line) == nullptr) {
-          const L1Line va = legacy.fill(line, false, Mesi::kShared, false, i);
-          const L1Line vb = flat.fill(line, false, Mesi::kShared, false, i);
-          EXPECT_EQ(va.valid, vb.valid);
-          EXPECT_EQ(va.line, vb.line);
+        if (l1.find(line) == nullptr) {
+          const L1Line victim = l1.fill(line, false, Mesi::kShared, false, i);
+          if (victim.valid) {
+            ASSERT_NO_FATAL_FAILURE(check_find(l1, victim.line, l1.valid_lines()));
+          }
         }
         break;
       }
-      default: {
-        const L1Line va = legacy.invalidate(line);
-        const L1Line vb = flat.invalidate(line);
-        EXPECT_EQ(va.valid, vb.valid);
+      default:
+        (void)l1.invalidate(line);
         break;
-      }
     }
+    ASSERT_NO_FATAL_FAILURE(check_find(l1, line, l1.valid_lines()));
   }
+  expect_every_record_findable(l1);
 }
 
-TEST(SoaTags, LlcLegacyAndFlatAgreeUnderRandomTraffic) {
+TEST(SoaTags, LlcFindMatchesRecordScanUnderRandomTraffic) {
   LlcGeometry geo;
   geo.lines_per_bank = 512;
-  LegacyScope scope(true);
-  LlcBank legacy{geo};
-  set_legacy_structures(false);
-  LlcBank flat{geo};
+  LlcBank llc{geo};
   Rng rng(14);
   for (int i = 0; i < 50000; ++i) {
     const LineAddr line = rng.next_below(4096) << geo.bank_bits;
     switch (rng.next_below(3)) {
-      case 0: {
-        const LlcLine* a = legacy.find(line);
-        const LlcLine* b = flat.find(line);
-        ASSERT_EQ(a == nullptr, b == nullptr) << "line " << line;
-        if (a != nullptr) {
-          EXPECT_EQ(a->version, b->version);
-        }
-        break;
-      }
+      case 0:
+        break;  // lookup only
       case 1: {
-        if (legacy.find(line) == nullptr) {
-          const LlcLine va = legacy.peek_victim(line);
-          const LlcLine vb = flat.peek_victim(line);
-          EXPECT_EQ(va.valid, vb.valid);
-          EXPECT_EQ(va.line, vb.line);
-          if (va.valid) {
-            legacy.invalidate(va.line);
-            flat.invalidate(vb.line);
+        if (llc.find(line) == nullptr) {
+          const LlcLine victim = llc.peek_victim(line);
+          ASSERT_EQ(victim.valid, scan_set(llc, line) == geo.ways) << "line " << line;
+          if (victim.valid) {
+            ASSERT_TRUE(llc.invalidate(victim.line).valid);
+            ASSERT_NO_FATAL_FAILURE(check_find(llc, victim.line, llc.valid_lines()));
           }
-          legacy.fill(line, false, false, i);
-          flat.fill(line, false, false, i);
+          llc.fill(line, false, false, i);
         }
         break;
       }
-      default: {
-        const LlcLine va = legacy.invalidate(line);
-        const LlcLine vb = flat.invalidate(line);
-        EXPECT_EQ(va.valid, vb.valid);
+      default:
+        (void)llc.invalidate(line);
         break;
-      }
     }
+    ASSERT_NO_FATAL_FAILURE(check_find(llc, line, llc.valid_lines()));
   }
+  expect_every_record_findable(llc);
 }
 
-TEST(SoaTags, DirectoryLegacyAndFlatAgreeAcrossResize) {
+TEST(SoaTags, DirectoryFindMatchesRecordScanAcrossResize) {
   DirGeometry geo;
   geo.entries_per_bank = 256;
-  LegacyScope scope(true);
-  DirectoryBank legacy{geo};
-  set_legacy_structures(false);
-  DirectoryBank flat{geo};
+  DirectoryBank dir{geo};
   Rng rng(15);
-  auto mirror_op = [&](LineAddr line, std::uint64_t op) {
-    switch (op) {
-      case 0: {
-        const DirEntry* a = legacy.find(line);
-        const DirEntry* b = flat.find(line);
-        ASSERT_EQ(a == nullptr, b == nullptr) << "line " << line;
-        if (a != nullptr) {
-          EXPECT_EQ(a->sharers, b->sharers);
-        }
-        break;
-      }
-      case 1: {
-        if (legacy.find(line) == nullptr) {
-          if (!legacy.has_free_way(line)) {
-            const DirEntry va = legacy.peek_victim(line);
-            const DirEntry vb = flat.peek_victim(line);
-            ASSERT_TRUE(va.valid);
-            EXPECT_EQ(va.line, vb.line);
-            legacy.remove(va.line);
-            flat.remove(vb.line);
-          }
-          legacy.alloc(line).sharers = line;
-          flat.alloc(line).sharers = line;
-        }
-        break;
-      }
-      default: {
-        EXPECT_EQ(legacy.remove(line), flat.remove(line));
-        break;
-      }
-    }
-  };
-  for (int i = 0; i < 20000; ++i) {
-    mirror_op(rng.next_below(2048) << geo.bank_bits, rng.next_below(3));
-  }
-  // Power down (displacing overfull sets identically), traffic, power up.
-  for (const std::uint32_t sets : {legacy.active_sets() / 2, legacy.total_sets()}) {
-    std::vector<DirEntry> da, db;
-    EXPECT_EQ(legacy.resize(sets, da), flat.resize(sets, db));
-    ASSERT_EQ(da.size(), db.size());
-    for (std::size_t i = 0; i < da.size(); ++i) EXPECT_EQ(da[i].line, db[i].line);
-    EXPECT_EQ(legacy.valid_entries(), flat.valid_entries());
+  auto traffic = [&] {
     for (int i = 0; i < 20000; ++i) {
-      mirror_op(rng.next_below(2048) << geo.bank_bits, rng.next_below(3));
+      const LineAddr line = rng.next_below(2048) << geo.bank_bits;
+      switch (rng.next_below(3)) {
+        case 0:
+          break;  // lookup only
+        case 1: {
+          if (dir.find(line) == nullptr) {
+            const bool free_way = dir.has_free_way(line);
+            ASSERT_EQ(free_way, scan_set(dir, line) < geo.ways) << "line " << line;
+            if (!free_way) {
+              const DirEntry victim = dir.peek_victim(line);
+              ASSERT_TRUE(victim.valid);
+              ASSERT_TRUE(dir.remove(victim.line));
+              ASSERT_NO_FATAL_FAILURE(check_find(dir, victim.line, dir.valid_entries()));
+            }
+            dir.alloc(line).sharers = line;
+          }
+          break;
+        }
+        default: {
+          const bool present = dir.find(line) != nullptr;
+          ASSERT_EQ(dir.remove(line), present);
+          break;
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(check_find(dir, line, dir.valid_entries()));
     }
+    expect_every_record_findable(dir);
+  };
+  traffic();
+  // Power down (overfull sets displace entries), traffic, power back up.
+  for (const std::uint32_t sets : {dir.active_sets() / 2, dir.total_sets()}) {
+    const std::uint32_t before = dir.valid_entries();
+    std::vector<DirEntry> displaced;
+    (void)dir.resize(sets, displaced);
+    ASSERT_EQ(dir.active_sets(), sets);
+    EXPECT_EQ(dir.valid_entries() + displaced.size(), before);
+    for (const DirEntry& d : displaced) {
+      ASSERT_NO_FATAL_FAILURE(check_find(dir, d.line, dir.valid_entries()));
+      EXPECT_EQ(dir.find(d.line), nullptr) << "displaced line " << d.line;
+    }
+    expect_every_record_findable(dir);
+    traffic();
   }
 }
 
 // ---------------------------------------------------------------------------
-// NCRT: sorted early-exit + memo must be stats-neutral
+// NCRT: the sorted early-exit scan and its memo against a containment scan
 
-TEST(NcrtMemo, AgreesWithLegacyScanIncludingStats) {
-  LegacyScope scope(true);
-  Ncrt legacy(32);
-  set_legacy_structures(false);
-  Ncrt flat(32);
+TEST(NcrtMemo, AgreesWithContainmentScanIncludingStats) {
+  Ncrt ncrt(32);
   Rng rng(16);
-  // Insert in shuffled order (the sorted path reorders internally), then
-  // interleave lookups with occasional re-register cycles, exactly the
-  // frozen-between-register-and-invalidate usage the memo depends on.
-  auto fill_both = [&] {
+  std::uint64_t lookups = 0, hits = 0;
+  auto lookup_and_check = [&](PAddr pa) {
+    bool want = false;
+    for (const AddrRange& r : ncrt.entries()) want = want || r.contains(pa);
+    ++lookups;
+    hits += want;
+    ASSERT_EQ(ncrt.lookup(pa), want) << "pa " << pa;
+    ASSERT_EQ(ncrt.stats().lookups, lookups);
+    ASSERT_EQ(ncrt.stats().hits, hits);
+  };
+  for (int round = 0; round < 4; ++round) {
+    // Register regions in shuffled order (the table sorts them), with
+    // lookups between inserts so a stale memo would answer wrongly.
     std::vector<std::uint64_t> starts;
     for (std::uint64_t i = 0; i < 24; ++i) starts.push_back(i * 0x1000);
     for (std::size_t i = starts.size(); i > 1; --i) {
       std::swap(starts[i - 1], starts[rng.next_below(i)]);
     }
     for (const std::uint64_t s : starts) {
-      EXPECT_EQ(legacy.insert(s, s + 0x800), flat.insert(s, s + 0x800));
+      ASSERT_TRUE(ncrt.insert(s, s + 0x800));
+      for (int i = 0; i < 64; ++i) {
+        ASSERT_NO_FATAL_FAILURE(lookup_and_check(rng.next_below(24 * 0x1000)));
+      }
     }
-  };
-  fill_both();
-  for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 20000; ++i) {
       // Streams through regions (memo fast path) plus random probes.
       const PAddr pa = (i % 3 == 0) ? rng.next_below(24 * 0x1000)
                                     : (rng.next_below(24) * 0x1000 + (i & 0x7FF));
-      EXPECT_EQ(legacy.lookup(pa), flat.lookup(pa)) << "pa " << pa;
+      ASSERT_NO_FATAL_FAILURE(lookup_and_check(pa));
     }
-    EXPECT_EQ(legacy.stats().lookups, flat.stats().lookups);
-    EXPECT_EQ(legacy.stats().hits, flat.stats().hits);
-    legacy.clear();
-    flat.clear();
-    fill_both();
+    ncrt.clear();
+    ASSERT_NO_FATAL_FAILURE(lookup_and_check(starts.front()));  // cleared: no hit
   }
-  EXPECT_EQ(legacy.stats().inserts, flat.stats().inserts);
-  EXPECT_EQ(legacy.stats().clears, flat.stats().clears);
+  EXPECT_EQ(ncrt.stats().inserts, 4u * 24u);
+  EXPECT_EQ(ncrt.stats().clears, 4u);
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end golden + pinned cache key
+// Pinned cache key
 
 TEST(ThroughputGolden, DefaultRunSpecKeyIsPinned) {
   // The structure swap must not perturb cache identity: warm sweep caches
@@ -333,48 +331,6 @@ TEST(ThroughputGolden, DefaultRunSpecKeyIsPinned) {
   // format and kStatsFormatVersion survive.
   EXPECT_EQ(RunSpec{}.key(), "jacobi-small-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5");
   EXPECT_EQ(kStatsFormatVersion, 5u);
-}
-
-TEST(ThroughputGolden, LegacyAndFlatStructuresBitIdenticalStats) {
-  std::vector<RunSpec> specs;
-  for (const char* app : {"jacobi", "synthetic"}) {
-    for (const CohMode mode : {CohMode::kFullCoh, CohMode::kRaCCD}) {
-      for (const char* topo : {"flat", "numa2"}) {
-        RunSpec s;
-        s.app = app;
-        s.size = SizeClass::kTiny;
-        s.mode = mode;
-        s.topo = topo;
-        s.dram = (mode == CohMode::kRaCCD) ? "ddr" : "simple";
-        specs.push_back(s);
-      }
-    }
-  }
-
-  RunOptions opts;
-  opts.use_cache = false;  // both sweeps must actually simulate
-  opts.jobs = 2;
-
-  std::vector<std::string> legacy_text, flat_text;
-  {
-    LegacyScope scope(true);
-    for (const SimStats& s : run_all(specs, opts)) {
-      legacy_text.push_back(stats_to_text(s));
-    }
-  }
-  {
-    LegacyScope scope(false);
-    for (const SimStats& s : run_all(specs, opts)) {
-      flat_text.push_back(stats_to_text(s));
-    }
-  }
-
-  ASSERT_EQ(legacy_text.size(), specs.size());
-  ASSERT_EQ(flat_text.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_FALSE(legacy_text[i].empty());
-    EXPECT_EQ(legacy_text[i], flat_text[i]) << specs[i].key();
-  }
 }
 
 }  // namespace
