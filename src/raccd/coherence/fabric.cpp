@@ -16,67 +16,8 @@ namespace {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// FabricStats / BlockClassifier
+// BlockClassifier
 // ---------------------------------------------------------------------------
-
-void FabricStats::add(const FabricStats& o) noexcept {
-  l1_accesses += o.l1_accesses;
-  l1_hits += o.l1_hits;
-  l1_misses += o.l1_misses;
-  l1_evictions += o.l1_evictions;
-  l1_wb_coh += o.l1_wb_coh;
-  l1_wb_nc += o.l1_wb_nc;
-  l1_invals_sharer += o.l1_invals_sharer;
-  l1_invals_recall += o.l1_invals_recall;
-  l1_flush_nc_lines += o.l1_flush_nc_lines;
-  l1_flush_nc_wbs += o.l1_flush_nc_wbs;
-  l1_flush_page_lines += o.l1_flush_page_lines;
-  l1_flush_page_wbs += o.l1_flush_page_wbs;
-  llc_lookups += o.llc_lookups;
-  llc_hits += o.llc_hits;
-  llc_misses += o.llc_misses;
-  llc_nc_lookups += o.llc_nc_lookups;
-  llc_nc_hits += o.llc_nc_hits;
-  llc_fills += o.llc_fills;
-  llc_evictions += o.llc_evictions;
-  llc_inval_by_dir += o.llc_inval_by_dir;
-  llc_wb_mem += o.llc_wb_mem;
-  llc_touches += o.llc_touches;
-  dir_accesses += o.dir_accesses;
-  dir_lookups += o.dir_lookups;
-  dir_hits += o.dir_hits;
-  dir_misses += o.dir_misses;
-  dir_allocs += o.dir_allocs;
-  dir_evictions += o.dir_evictions;
-  dir_recall_msgs += o.dir_recall_msgs;
-  dir_wb_updates += o.dir_wb_updates;
-  dir_nc_to_coh += o.dir_nc_to_coh;
-  dir_coh_to_nc += o.dir_coh_to_nc;
-  coh_reads += o.coh_reads;
-  coh_writes += o.coh_writes;
-  upgrades += o.upgrades;
-  nc_reads += o.nc_reads;
-  nc_writes += o.nc_writes;
-  owner_probes += o.owner_probes;
-  dir_reqs_cross_socket += o.dir_reqs_cross_socket;
-  nc_reqs_cross_socket += o.nc_reqs_cross_socket;
-  mem_reads += o.mem_reads;
-  mem_writes += o.mem_writes;
-  mem_wb_wait_cycles += o.mem_wb_wait_cycles;
-  dram_row_hits += o.dram_row_hits;
-  dram_row_misses += o.dram_row_misses;
-  dram_row_conflicts += o.dram_row_conflicts;
-  dram_queue_wait_cycles += o.dram_queue_wait_cycles;
-  e_dir_pj += o.e_dir_pj;
-  e_llc_pj += o.e_llc_pj;
-  e_l1_pj += o.e_l1_pj;
-  e_noc_pj += o.e_noc_pj;
-  e_mem_pj += o.e_mem_pj;
-  e_mem_act_pj += o.e_mem_act_pj;
-  e_mem_rd_pj += o.e_mem_rd_pj;
-  e_mem_wr_pj += o.e_mem_wr_pj;
-  e_mem_pre_pj += o.e_mem_pre_pj;
-}
 
 void BlockClassifier::record(LineAddr line, bool nc) {
   if (line >= flags_.size()) flags_.resize(line + 1, 0);

@@ -13,17 +13,29 @@
 #include <cstdint>
 #include <vector>
 
+#include "raccd/common/stat_fields.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
 
+// Field list (common/stat_fields.hpp): member, stats-text key, metric.
+#define RACCD_NCRT_STATS(X)                                                          \
+  X(std::uint64_t, lookups, "ncrt_lookups", "ncrt.lookups", "ncrt_lookups", "",      \
+    kCounter, "NCRT lookups on the L1 miss path")                                    \
+  X(std::uint64_t, hits, "ncrt_hits", "ncrt.hits", "ncrt_hits", "", kCounter,        \
+    "NCRT hits (access goes NC)")                                                    \
+  X(std::uint64_t, inserts, "ncrt_inserts", "ncrt.inserts", "ncrt_inserts", "",      \
+    kCounter, "regions inserted by raccd_register")                                  \
+  X(std::uint64_t, overflows, "ncrt_overflows", "ncrt.overflows", "ncrt_overflows",  \
+    "", kCounter, "regions rejected because the table was full")                     \
+  X(std::uint64_t, clears, "ncrt_clears", "ncrt.clears", "ncrt_clears", "", kCounter, \
+    "NCRT clears at task end")
+
 struct NcrtStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t overflows = 0;  ///< regions rejected because the table was full
-  std::uint64_t clears = 0;
+  RACCD_NCRT_STATS(RACCD_STAT_MEMBER)
+  RACCD_STAT_FOR_EACH(RACCD_NCRT_STATS)
 };
+static_assert(stat_fields_cover<NcrtStats>(), "NcrtStats member outside its field list");
 
 class Ncrt {
  public:

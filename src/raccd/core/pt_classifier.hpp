@@ -13,16 +13,26 @@
 #include <cstdint>
 #include <vector>
 
+#include "raccd/common/stat_fields.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
 
 enum class PageClass : std::uint8_t { kUntouched = 0, kPrivate, kShared };
 
+// Field list (common/stat_fields.hpp): member, stats-text key, metric.
+#define RACCD_PT_STATS(X)                                                         \
+  X(std::uint64_t, first_touches, "pt_first_touches", "pt.first_touches",         \
+    "pt_first_touches", "", kCounter, "pages classified private on first touch")  \
+  X(std::uint64_t, transitions, "pt_transitions", "pt.transitions", "pt_transitions", \
+    "", kCounter, "private->shared reclassifications")
+
 struct PtClassifierStats {
-  std::uint64_t first_touches = 0;
-  std::uint64_t transitions = 0;  ///< private -> shared reclassifications
+  RACCD_PT_STATS(RACCD_STAT_MEMBER)
+  RACCD_STAT_FOR_EACH(RACCD_PT_STATS)
 };
+static_assert(stat_fields_cover<PtClassifierStats>(),
+              "PtClassifierStats member outside its field list");
 
 class PtClassifier {
  public:

@@ -2,367 +2,109 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
-#include <sstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <unordered_map>
+#include <vector>
 
 #include "raccd/common/format.hpp"
 
 namespace raccd {
 namespace {
 
-// Field table: every serialized counter gets an explicit name. Doubles are
-// printed with full precision; integers as decimal.
-struct Fields {
-  std::map<std::string, std::string> kv;
+// The stats text is `format=<version>` followed by one `key=value` line per
+// field of SimStats' field lists, sorted by key. Doubles print with full
+// precision, everything else as a decimal integer.
 
-  void put_u(const std::string& k, std::uint64_t v) { kv[k] = std::to_string(v); }
-  void put_d(const std::string& k, double v) { kv[k] = strprintf("%.17g", v); }
+[[nodiscard]] bool gate_open(const SimStats& s, StatGate gate) noexcept {
+  switch (gate) {
+    case StatGate::kAlways: return true;
+    case StatGate::kSampling: return s.sampling.active != 0;
+    case StatGate::kService: return s.service.requests != 0;
+  }
+  return false;
+}
 
-  [[nodiscard]] std::uint64_t get_u(const std::string& k) const {
-    const auto it = kv.find(k);
-    return it == kv.end() ? 0 : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  [[nodiscard]] double get_d(const std::string& k) const {
-    const auto it = kv.find(k);
-    return it == kv.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr);
-  }
-};
-
-void pack(const SimStats& s, Fields& f) {
-  f.put_u("mode", static_cast<std::uint64_t>(s.mode));
-  f.put_u("dir_ratio", s.dir_ratio);
-  f.put_u("adr_enabled", s.adr_enabled ? 1 : 0);
-  f.put_u("cycles", s.cycles);
-  f.put_u("busy_cycles", s.busy_cycles);
-  f.put_d("core_utilization", s.core_utilization);
-  const FabricStats& fb = s.fabric;
-  f.put_u("l1_accesses", fb.l1_accesses);
-  f.put_u("l1_hits", fb.l1_hits);
-  f.put_u("l1_misses", fb.l1_misses);
-  f.put_u("l1_evictions", fb.l1_evictions);
-  f.put_u("l1_wb_coh", fb.l1_wb_coh);
-  f.put_u("l1_wb_nc", fb.l1_wb_nc);
-  f.put_u("l1_invals_sharer", fb.l1_invals_sharer);
-  f.put_u("l1_invals_recall", fb.l1_invals_recall);
-  f.put_u("l1_flush_nc_lines", fb.l1_flush_nc_lines);
-  f.put_u("l1_flush_nc_wbs", fb.l1_flush_nc_wbs);
-  f.put_u("l1_flush_page_lines", fb.l1_flush_page_lines);
-  f.put_u("l1_flush_page_wbs", fb.l1_flush_page_wbs);
-  f.put_u("llc_lookups", fb.llc_lookups);
-  f.put_u("llc_hits", fb.llc_hits);
-  f.put_u("llc_misses", fb.llc_misses);
-  f.put_u("llc_nc_lookups", fb.llc_nc_lookups);
-  f.put_u("llc_nc_hits", fb.llc_nc_hits);
-  f.put_u("llc_fills", fb.llc_fills);
-  f.put_u("llc_evictions", fb.llc_evictions);
-  f.put_u("llc_inval_by_dir", fb.llc_inval_by_dir);
-  f.put_u("llc_wb_mem", fb.llc_wb_mem);
-  f.put_u("llc_touches", fb.llc_touches);
-  f.put_u("dir_accesses", fb.dir_accesses);
-  f.put_u("dir_lookups", fb.dir_lookups);
-  f.put_u("dir_hits", fb.dir_hits);
-  f.put_u("dir_misses", fb.dir_misses);
-  f.put_u("dir_allocs", fb.dir_allocs);
-  f.put_u("dir_evictions", fb.dir_evictions);
-  f.put_u("dir_recall_msgs", fb.dir_recall_msgs);
-  f.put_u("dir_wb_updates", fb.dir_wb_updates);
-  f.put_u("dir_nc_to_coh", fb.dir_nc_to_coh);
-  f.put_u("dir_coh_to_nc", fb.dir_coh_to_nc);
-  f.put_u("coh_reads", fb.coh_reads);
-  f.put_u("coh_writes", fb.coh_writes);
-  f.put_u("upgrades", fb.upgrades);
-  f.put_u("nc_reads", fb.nc_reads);
-  f.put_u("nc_writes", fb.nc_writes);
-  f.put_u("owner_probes", fb.owner_probes);
-  f.put_u("dir_reqs_cross_socket", fb.dir_reqs_cross_socket);
-  f.put_u("nc_reqs_cross_socket", fb.nc_reqs_cross_socket);
-  f.put_u("mem_reads", fb.mem_reads);
-  f.put_u("mem_writes", fb.mem_writes);
-  f.put_u("mem_wb_wait_cycles", fb.mem_wb_wait_cycles);
-  f.put_u("dram_row_hits", fb.dram_row_hits);
-  f.put_u("dram_row_misses", fb.dram_row_misses);
-  f.put_u("dram_row_conflicts", fb.dram_row_conflicts);
-  f.put_u("dram_queue_wait_cycles", fb.dram_queue_wait_cycles);
-  f.put_d("e_dir_pj", fb.e_dir_pj);
-  f.put_d("e_llc_pj", fb.e_llc_pj);
-  f.put_d("e_l1_pj", fb.e_l1_pj);
-  f.put_d("e_noc_pj", fb.e_noc_pj);
-  f.put_d("e_mem_pj", fb.e_mem_pj);
-  f.put_d("e_mem_act_pj", fb.e_mem_act_pj);
-  f.put_d("e_mem_rd_pj", fb.e_mem_rd_pj);
-  f.put_d("e_mem_wr_pj", fb.e_mem_wr_pj);
-  f.put_d("e_mem_pre_pj", fb.e_mem_pre_pj);
-  for (std::size_t c = 0; c < kMsgClassCount; ++c) {
-    const auto& pc = s.noc.per_class[c];
-    f.put_u(strprintf("noc%zu_messages", c), pc.messages);
-    f.put_u(strprintf("noc%zu_flits", c), pc.flits);
-    f.put_u(strprintf("noc%zu_flit_hops", c), pc.flit_hops);
-  }
-  f.put_u("noc_cross_messages", s.noc.cross_socket.messages);
-  f.put_u("noc_cross_flits", s.noc.cross_socket.flits);
-  f.put_u("noc_cross_flit_hops", s.noc.cross_socket.flit_hops);
-  f.put_u("noc_socket_link_flits", s.noc.socket_link_flits);
-  f.put_u("ncrt_lookups", s.ncrt.lookups);
-  f.put_u("ncrt_hits", s.ncrt.hits);
-  f.put_u("ncrt_inserts", s.ncrt.inserts);
-  f.put_u("ncrt_overflows", s.ncrt.overflows);
-  f.put_u("ncrt_clears", s.ncrt.clears);
-  f.put_u("tlb_lookups", s.tlb.lookups);
-  f.put_u("tlb_hits", s.tlb.hits);
-  f.put_u("tlb_misses", s.tlb.misses);
-  f.put_u("tlb_shootdowns", s.tlb.shootdowns);
-  f.put_u("tlb_evictions", s.tlb.evictions);
-  f.put_u("pt_first_touches", s.pt.first_touches);
-  f.put_u("pt_transitions", s.pt.transitions);
-  f.put_u("adr_polls", s.adr.polls);
-  f.put_u("adr_grows", s.adr.grows);
-  f.put_u("adr_shrinks", s.adr.shrinks);
-  f.put_u("adr_entries_moved", s.adr.entries_moved);
-  f.put_u("adr_entries_displaced", s.adr.entries_displaced);
-  f.put_u("adr_blocked_cycles", s.adr.blocked_cycles);
-  f.put_u("tasks", s.tasks);
-  f.put_u("edges", s.edges);
-  f.put_u("accesses_replayed", s.accesses_replayed);
-  f.put_u("create_cycles", s.create_cycles);
-  f.put_u("schedule_cycles", s.schedule_cycles);
-  f.put_u("wakeup_cycles", s.wakeup_cycles);
-  f.put_u("register_cycles", s.register_cycles);
-  f.put_u("invalidate_cycles", s.invalidate_cycles);
-  f.put_u("flushed_nc_lines", s.flushed_nc_lines);
-  f.put_u("flushed_nc_wbs", s.flushed_nc_wbs);
-  f.put_u("blocks_touched", s.blocks_touched);
-  f.put_u("blocks_noncoherent", s.blocks_noncoherent);
-  f.put_d("noncoherent_block_fraction", s.noncoherent_block_fraction);
-  f.put_d("avg_dir_occupancy", s.avg_dir_occupancy);
-  f.put_d("avg_dir_active_frac", s.avg_dir_active_frac);
-  f.put_d("dir_dyn_energy_pj", s.dir_dyn_energy_pj);
-  f.put_d("llc_dyn_energy_pj", s.llc_dyn_energy_pj);
-  f.put_d("noc_dyn_energy_pj", s.noc_dyn_energy_pj);
-  f.put_d("mem_dyn_energy_pj", s.mem_dyn_energy_pj);
-  f.put_d("l1_dyn_energy_pj", s.l1_dyn_energy_pj);
-  f.put_d("dir_leak_energy_pj", s.dir_leak_energy_pj);
-  if (s.sampling.active != 0) {
-    // Gated on `active` so detailed entries keep the v5 byte layout — a
-    // sampled spec carries a distinct `-smp` key, so the two never collide.
-    const SamplingStats& sp = s.sampling;
-    f.put_u("sampling_active", sp.active);
-    f.put_u("sampling_windows", sp.windows);
-    f.put_u("sampling_measured_tasks", sp.measured_tasks);
-    f.put_u("sampling_warmup_tasks", sp.warmup_tasks);
-    f.put_u("sampling_ffwd_tasks", sp.ffwd_tasks);
-    f.put_u("sampling_measured_accesses", sp.measured_accesses);
-    f.put_u("sampling_ffwd_accesses", sp.ffwd_accesses);
-    f.put_d("sampling_scale", sp.scale);
-    f.put_d("sampling_cycles_ci95", sp.cycles_ci95);
-    f.put_d("sampling_dir_accesses_ci95", sp.dir_accesses_ci95);
-    f.put_d("sampling_llc_hits_ci95", sp.llc_hits_ci95);
-    f.put_d("sampling_noc_flits_ci95", sp.noc_flits_ci95);
-    f.put_d("sampling_noc_flit_hops_ci95", sp.noc_flit_hops_ci95);
-    f.put_d("sampling_dram_row_hits_ci95", sp.dram_row_hits_ci95);
-    f.put_d("sampling_dram_row_hit_rate_ci95", sp.dram_row_hit_rate_ci95);
-    f.put_d("sampling_dir_occupancy_ci95", sp.dir_occupancy_ci95);
-  }
-  if (s.service.requests != 0) {
-    // Same gating idea as sampling: batch entries keep the v5 byte layout,
-    // and a service spec always carries workload params in its key.
-    const auto put_dist = [&f](const char* prefix, const DistSummary& d) {
-      f.put_u(strprintf("%s_count", prefix), d.count);
-      f.put_d(strprintf("%s_mean", prefix), d.mean);
-      f.put_d(strprintf("%s_p50", prefix), d.p50);
-      f.put_d(strprintf("%s_p95", prefix), d.p95);
-      f.put_d(strprintf("%s_p99", prefix), d.p99);
-      f.put_d(strprintf("%s_max", prefix), d.max);
-    };
-    f.put_u("service_requests", s.service.requests);
-    put_dist("service_queue", s.service.queueing);
-    put_dist("service_svc", s.service.service);
-    put_dist("service_e2e", s.service.e2e);
+template <class T>
+[[nodiscard]] std::string format_value(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return strprintf("%.17g", v);
+  } else {
+    return std::to_string(static_cast<std::uint64_t>(v));
   }
 }
 
-void unpack(const Fields& f, SimStats& s) {
-  s.mode = static_cast<CohMode>(f.get_u("mode"));
-  s.dir_ratio = static_cast<std::uint32_t>(f.get_u("dir_ratio"));
-  s.adr_enabled = f.get_u("adr_enabled") != 0;
-  s.cycles = f.get_u("cycles");
-  s.busy_cycles = f.get_u("busy_cycles");
-  s.core_utilization = f.get_d("core_utilization");
-  FabricStats& fb = s.fabric;
-  fb.l1_accesses = f.get_u("l1_accesses");
-  fb.l1_hits = f.get_u("l1_hits");
-  fb.l1_misses = f.get_u("l1_misses");
-  fb.l1_evictions = f.get_u("l1_evictions");
-  fb.l1_wb_coh = f.get_u("l1_wb_coh");
-  fb.l1_wb_nc = f.get_u("l1_wb_nc");
-  fb.l1_invals_sharer = f.get_u("l1_invals_sharer");
-  fb.l1_invals_recall = f.get_u("l1_invals_recall");
-  fb.l1_flush_nc_lines = f.get_u("l1_flush_nc_lines");
-  fb.l1_flush_nc_wbs = f.get_u("l1_flush_nc_wbs");
-  fb.l1_flush_page_lines = f.get_u("l1_flush_page_lines");
-  fb.l1_flush_page_wbs = f.get_u("l1_flush_page_wbs");
-  fb.llc_lookups = f.get_u("llc_lookups");
-  fb.llc_hits = f.get_u("llc_hits");
-  fb.llc_misses = f.get_u("llc_misses");
-  fb.llc_nc_lookups = f.get_u("llc_nc_lookups");
-  fb.llc_nc_hits = f.get_u("llc_nc_hits");
-  fb.llc_fills = f.get_u("llc_fills");
-  fb.llc_evictions = f.get_u("llc_evictions");
-  fb.llc_inval_by_dir = f.get_u("llc_inval_by_dir");
-  fb.llc_wb_mem = f.get_u("llc_wb_mem");
-  fb.llc_touches = f.get_u("llc_touches");
-  fb.dir_accesses = f.get_u("dir_accesses");
-  fb.dir_lookups = f.get_u("dir_lookups");
-  fb.dir_hits = f.get_u("dir_hits");
-  fb.dir_misses = f.get_u("dir_misses");
-  fb.dir_allocs = f.get_u("dir_allocs");
-  fb.dir_evictions = f.get_u("dir_evictions");
-  fb.dir_recall_msgs = f.get_u("dir_recall_msgs");
-  fb.dir_wb_updates = f.get_u("dir_wb_updates");
-  fb.dir_nc_to_coh = f.get_u("dir_nc_to_coh");
-  fb.dir_coh_to_nc = f.get_u("dir_coh_to_nc");
-  fb.coh_reads = f.get_u("coh_reads");
-  fb.coh_writes = f.get_u("coh_writes");
-  fb.upgrades = f.get_u("upgrades");
-  fb.nc_reads = f.get_u("nc_reads");
-  fb.nc_writes = f.get_u("nc_writes");
-  fb.owner_probes = f.get_u("owner_probes");
-  fb.dir_reqs_cross_socket = f.get_u("dir_reqs_cross_socket");
-  fb.nc_reqs_cross_socket = f.get_u("nc_reqs_cross_socket");
-  fb.mem_reads = f.get_u("mem_reads");
-  fb.mem_writes = f.get_u("mem_writes");
-  fb.mem_wb_wait_cycles = f.get_u("mem_wb_wait_cycles");
-  fb.dram_row_hits = f.get_u("dram_row_hits");
-  fb.dram_row_misses = f.get_u("dram_row_misses");
-  fb.dram_row_conflicts = f.get_u("dram_row_conflicts");
-  fb.dram_queue_wait_cycles = f.get_u("dram_queue_wait_cycles");
-  fb.e_dir_pj = f.get_d("e_dir_pj");
-  fb.e_llc_pj = f.get_d("e_llc_pj");
-  fb.e_l1_pj = f.get_d("e_l1_pj");
-  fb.e_noc_pj = f.get_d("e_noc_pj");
-  fb.e_mem_pj = f.get_d("e_mem_pj");
-  fb.e_mem_act_pj = f.get_d("e_mem_act_pj");
-  fb.e_mem_rd_pj = f.get_d("e_mem_rd_pj");
-  fb.e_mem_wr_pj = f.get_d("e_mem_wr_pj");
-  fb.e_mem_pre_pj = f.get_d("e_mem_pre_pj");
-  for (std::size_t c = 0; c < kMsgClassCount; ++c) {
-    auto& pc = s.noc.per_class[c];
-    pc.messages = f.get_u(strprintf("noc%zu_messages", c));
-    pc.flits = f.get_u(strprintf("noc%zu_flits", c));
-    pc.flit_hops = f.get_u(strprintf("noc%zu_flit_hops", c));
-  }
-  s.noc.cross_socket.messages = f.get_u("noc_cross_messages");
-  s.noc.cross_socket.flits = f.get_u("noc_cross_flits");
-  s.noc.cross_socket.flit_hops = f.get_u("noc_cross_flit_hops");
-  s.noc.socket_link_flits = f.get_u("noc_socket_link_flits");
-  s.ncrt.lookups = f.get_u("ncrt_lookups");
-  s.ncrt.hits = f.get_u("ncrt_hits");
-  s.ncrt.inserts = f.get_u("ncrt_inserts");
-  s.ncrt.overflows = f.get_u("ncrt_overflows");
-  s.ncrt.clears = f.get_u("ncrt_clears");
-  s.tlb.lookups = f.get_u("tlb_lookups");
-  s.tlb.hits = f.get_u("tlb_hits");
-  s.tlb.misses = f.get_u("tlb_misses");
-  s.tlb.shootdowns = f.get_u("tlb_shootdowns");
-  s.tlb.evictions = f.get_u("tlb_evictions");
-  s.pt.first_touches = f.get_u("pt_first_touches");
-  s.pt.transitions = f.get_u("pt_transitions");
-  s.adr.polls = f.get_u("adr_polls");
-  s.adr.grows = f.get_u("adr_grows");
-  s.adr.shrinks = f.get_u("adr_shrinks");
-  s.adr.entries_moved = f.get_u("adr_entries_moved");
-  s.adr.entries_displaced = f.get_u("adr_entries_displaced");
-  s.adr.blocked_cycles = f.get_u("adr_blocked_cycles");
-  s.tasks = f.get_u("tasks");
-  s.edges = f.get_u("edges");
-  s.accesses_replayed = f.get_u("accesses_replayed");
-  s.create_cycles = f.get_u("create_cycles");
-  s.schedule_cycles = f.get_u("schedule_cycles");
-  s.wakeup_cycles = f.get_u("wakeup_cycles");
-  s.register_cycles = f.get_u("register_cycles");
-  s.invalidate_cycles = f.get_u("invalidate_cycles");
-  s.flushed_nc_lines = f.get_u("flushed_nc_lines");
-  s.flushed_nc_wbs = f.get_u("flushed_nc_wbs");
-  s.blocks_touched = f.get_u("blocks_touched");
-  s.blocks_noncoherent = f.get_u("blocks_noncoherent");
-  s.noncoherent_block_fraction = f.get_d("noncoherent_block_fraction");
-  s.avg_dir_occupancy = f.get_d("avg_dir_occupancy");
-  s.avg_dir_active_frac = f.get_d("avg_dir_active_frac");
-  s.dir_dyn_energy_pj = f.get_d("dir_dyn_energy_pj");
-  s.llc_dyn_energy_pj = f.get_d("llc_dyn_energy_pj");
-  s.noc_dyn_energy_pj = f.get_d("noc_dyn_energy_pj");
-  s.mem_dyn_energy_pj = f.get_d("mem_dyn_energy_pj");
-  s.l1_dyn_energy_pj = f.get_d("l1_dyn_energy_pj");
-  s.dir_leak_energy_pj = f.get_d("dir_leak_energy_pj");
-  s.sampling.active = f.get_u("sampling_active");
-  if (s.sampling.active != 0) {
-    SamplingStats& sp = s.sampling;
-    sp.windows = f.get_u("sampling_windows");
-    sp.measured_tasks = f.get_u("sampling_measured_tasks");
-    sp.warmup_tasks = f.get_u("sampling_warmup_tasks");
-    sp.ffwd_tasks = f.get_u("sampling_ffwd_tasks");
-    sp.measured_accesses = f.get_u("sampling_measured_accesses");
-    sp.ffwd_accesses = f.get_u("sampling_ffwd_accesses");
-    sp.scale = f.get_d("sampling_scale");
-    sp.cycles_ci95 = f.get_d("sampling_cycles_ci95");
-    sp.dir_accesses_ci95 = f.get_d("sampling_dir_accesses_ci95");
-    sp.llc_hits_ci95 = f.get_d("sampling_llc_hits_ci95");
-    sp.noc_flits_ci95 = f.get_d("sampling_noc_flits_ci95");
-    sp.noc_flit_hops_ci95 = f.get_d("sampling_noc_flit_hops_ci95");
-    sp.dram_row_hits_ci95 = f.get_d("sampling_dram_row_hits_ci95");
-    sp.dram_row_hit_rate_ci95 = f.get_d("sampling_dram_row_hit_rate_ci95");
-    sp.dir_occupancy_ci95 = f.get_d("sampling_dir_occupancy_ci95");
-  }
-  s.service.requests = f.get_u("service_requests");
-  if (s.service.requests != 0) {
-    const auto get_dist = [&f](const char* prefix, DistSummary& d) {
-      d.count = f.get_u(strprintf("%s_count", prefix));
-      d.mean = f.get_d(strprintf("%s_mean", prefix));
-      d.p50 = f.get_d(strprintf("%s_p50", prefix));
-      d.p95 = f.get_d(strprintf("%s_p95", prefix));
-      d.p99 = f.get_d(strprintf("%s_p99", prefix));
-      d.max = f.get_d(strprintf("%s_max", prefix));
-    };
-    get_dist("service_queue", s.service.queueing);
-    get_dist("service_svc", s.service.service);
-    get_dist("service_e2e", s.service.e2e);
+/// The whole of `text` must parse as a T (integers must also fit).
+template <class T>
+[[nodiscard]] bool parse_value(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  if constexpr (std::is_floating_point_v<T>) {
+    const auto r = std::from_chars(text.data(), end, out);
+    return r.ec == std::errc{} && r.ptr == end;
+  } else {
+    std::uint64_t u = 0;
+    const auto r = std::from_chars(text.data(), end, u);
+    if (r.ec != std::errc{} || r.ptr != end) return false;
+    out = static_cast<T>(u);
+    return static_cast<std::uint64_t>(out) == u;
   }
 }
 
 }  // namespace
 
 std::string stats_to_text(const SimStats& s) {
-  Fields f;
-  pack(s, f);
+  std::vector<std::pair<std::string_view, std::string>> lines;
+  SimStats::for_each_field([&](const StatField& f, auto field) {
+    if (gate_open(s, f.gate)) lines.emplace_back(f.text, format_value(field(s)));
+  });
+  std::sort(lines.begin(), lines.end());
   std::string out = strprintf("format=%u\n", kStatsFormatVersion);
-  for (const auto& [k, v] : f.kv) out += k + "=" + v + "\n";
+  for (const auto& [k, v] : lines) {
+    out.append(k).append("=").append(v).append("\n");
+  }
   return out;
 }
 
 std::optional<SimStats> stats_from_text(const std::string& text) {
-  Fields f;
-  std::istringstream in(text);
-  std::string line;
-  bool version_ok = false;
-  while (std::getline(in, line)) {
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string k = line.substr(0, eq);
-    const std::string v = line.substr(eq + 1);
-    if (k == "format") {
-      version_ok = (std::strtoul(v.c_str(), nullptr, 10) == kStatsFormatVersion);
-      continue;
-    }
-    f.kv[k] = v;
+  // Anything but the exact canonical key set is a miss: a missing or
+  // unknown key, a duplicate, a value that does not parse whole, or another
+  // format version.
+  std::unordered_map<std::string_view, std::string_view> kv;
+  std::string_view rest = text;
+  while (!rest.empty()) {
+    const std::size_t nl = std::min(rest.find('\n'), rest.size());
+    const std::string_view line = rest.substr(0, nl);
+    rest.remove_prefix(std::min(nl + 1, rest.size()));
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos) return std::nullopt;
+    if (!kv.emplace(line.substr(0, eq), line.substr(eq + 1)).second) return std::nullopt;
   }
-  if (!version_ok) return std::nullopt;
+  const auto version = kv.find("format");
+  if (version == kv.end() || version->second != std::to_string(kStatsFormatVersion)) {
+    return std::nullopt;
+  }
   SimStats s;
-  unpack(f, s);
+  std::size_t consumed = 1;
+  bool ok = true;
+  SimStats::for_each_field([&](const StatField& f, auto field) {
+    const auto it = kv.find(f.text);
+    if (it == kv.end()) return;
+    ok = ok && parse_value(it->second, field(s));
+    ++consumed;
+  });
+  if (!ok || consumed != kv.size()) return std::nullopt;
+  // Gated groups: present exactly when their gate counter says so.
+  SimStats::for_each_field([&](const StatField& f, auto) {
+    ok = ok && kv.contains(f.text) == gate_open(s, f.gate);
+  });
+  if (!ok) return std::nullopt;
   return s;
 }
 

@@ -1,166 +1,15 @@
 #include "raccd/metrics/diff.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 
 #include "raccd/common/format.hpp"
+#include "raccd/common/json.hpp"
 #include "raccd/metrics/metric_schema.hpp"
 
 namespace raccd {
 namespace {
-
-// Minimal recursive-descent JSON reader for the object-of-objects-of-numbers
-// shape our emitters write. Tolerant of whitespace and of values we don't
-// need (arrays / nested objects are skipped structurally).
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
-
-  [[nodiscard]] bool fail(const std::string& msg) {
-    if (error.empty()) error = strprintf("%s at offset %zu", msg.c_str(), pos);
-    return false;
-  }
-  void skip_ws() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
-                                 text[pos] == '\n' || text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] bool expect(char c) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != c) {
-      return fail(strprintf("expected '%c'", c));
-    }
-    ++pos;
-    return true;
-  }
-  [[nodiscard]] bool peek_is(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  [[nodiscard]] bool parse_string(std::string& out) {
-    if (!expect('"')) return false;
-    out.clear();
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        const char e = text[pos++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            // \uXXXX: decode latin-1 range, else keep a placeholder.
-            if (pos + 4 > text.size()) return fail("truncated \\u escape");
-            const unsigned v = static_cast<unsigned>(
-                std::strtoul(std::string(text.substr(pos, 4)).c_str(), nullptr, 16));
-            pos += 4;
-            c = v < 0x100 ? static_cast<char>(v) : '?';
-            break;
-          }
-          default: c = e;
-        }
-      }
-      out += c;
-    }
-    if (pos >= text.size()) return fail("unterminated string");
-    ++pos;  // closing quote
-    return true;
-  }
-
-  [[nodiscard]] bool parse_number(double& out) {
-    skip_ws();
-    // strtod needs NUL termination the view cannot promise: copy the bounded
-    // numeric token (JSON numbers are short) into a local buffer first.
-    char buf[48];
-    std::size_t n = 0;
-    while (pos + n < text.size() && n + 1 < sizeof buf) {
-      const char c = text[pos + n];
-      const bool numeric = (c >= '0' && c <= '9') || c == '-' || c == '+' ||
-                           c == '.' || c == 'e' || c == 'E';
-      if (!numeric) break;
-      buf[n++] = c;
-    }
-    buf[n] = '\0';
-    char* end = nullptr;
-    out = std::strtod(buf, &end);
-    if (end == buf) return fail("expected a number");
-    pos += static_cast<std::size_t>(end - buf);
-    return true;
-  }
-
-  /// Skip any JSON value (used for nested structures we don't collect).
-  [[nodiscard]] bool skip_value() {
-    skip_ws();
-    if (pos >= text.size()) return fail("unexpected end of input");
-    const char c = text[pos];
-    if (c == '"') {
-      std::string ignored;
-      return parse_string(ignored);
-    }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++pos;
-      skip_ws();
-      if (peek_is(close)) {
-        ++pos;
-        return true;
-      }
-      for (;;) {
-        if (c == '{') {
-          std::string ignored;
-          if (!parse_string(ignored) || !expect(':')) return false;
-        }
-        if (!skip_value()) return false;
-        skip_ws();
-        if (peek_is(',')) {
-          ++pos;
-          continue;
-        }
-        return expect(close);
-      }
-    }
-    if (text.compare(pos, 4, "true") == 0) { pos += 4; return true; }
-    if (text.compare(pos, 5, "false") == 0) { pos += 5; return true; }
-    if (text.compare(pos, 4, "null") == 0) { pos += 4; return true; }
-    double ignored = 0;
-    return parse_number(ignored);
-  }
-
-  [[nodiscard]] bool parse_metric_map(MetricMap& out) {
-    if (!expect('{')) return false;
-    if (peek_is('}')) { ++pos; return true; }
-    for (;;) {
-      std::string name;
-      if (!parse_string(name) || !expect(':')) return false;
-      skip_ws();
-      if (text.compare(pos, 4, "null") == 0) {
-        pos += 4;
-        out[name] = std::numeric_limits<double>::quiet_NaN();
-      } else if (peek_is('{') || peek_is('[') || peek_is('"')) {
-        if (!skip_value()) return false;  // non-numeric field: ignore
-      } else if (text.compare(pos, 4, "true") == 0) {
-        pos += 4;
-        out[name] = 1.0;
-      } else if (text.compare(pos, 5, "false") == 0) {
-        pos += 5;
-        out[name] = 0.0;
-      } else {
-        double v = 0;
-        if (!parse_number(v)) return false;
-        out[name] = v;
-      }
-      if (peek_is(',')) { ++pos; continue; }
-      return expect('}');
-    }
-  }
-};
 
 [[nodiscard]] double tolerance_pct_for(const std::string& key,
                                        const DiffTolerances& tol, bool& absolute,
@@ -186,19 +35,29 @@ struct Parser {
 
 std::string parse_bench_json(std::string_view text, BenchLog& out) {
   out.clear();
-  Parser p{text, 0, {}};
-  if (!p.expect('{')) return p.error;
-  if (p.peek_is('}')) return "";
-  for (;;) {
-    std::string key;
-    if (!p.parse_string(key) || !p.expect(':')) return p.error;
+  json::Value root;
+  if (std::string err = json::parse(text, root); !err.empty()) return err;
+  if (root.kind != json::Value::Kind::kObject) return "expected an object of runs";
+  for (const json::Member& run : root.object) {
+    if (run.value.kind != json::Value::Kind::kObject) {
+      return strprintf("run '%s' is not an object", run.key.c_str());
+    }
+    // Numbers keep their value, null reads as NaN, booleans as 1/0; strings,
+    // arrays and nested objects are not metrics and are skipped.
     MetricMap metrics;
-    if (!p.parse_metric_map(metrics)) return p.error;
-    out[key] = std::move(metrics);
-    if (p.peek_is(',')) { ++p.pos; continue; }
-    if (!p.expect('}')) return p.error;
-    return "";
+    for (const json::Member& m : run.value.object) {
+      switch (m.value.kind) {
+        case json::Value::Kind::kNumber: metrics[m.key] = m.value.number; break;
+        case json::Value::Kind::kNull:
+          metrics[m.key] = std::numeric_limits<double>::quiet_NaN();
+          break;
+        case json::Value::Kind::kBool: metrics[m.key] = m.value.boolean ? 1.0 : 0.0; break;
+        default: break;
+      }
+    }
+    out[run.key] = std::move(metrics);
   }
+  return "";
 }
 
 std::string load_bench_json(const std::string& path, BenchLog& out) {

@@ -6,13 +6,16 @@
 // the flat key the machine-readable emitters use ("dir_accesses",
 // "noc_cross_socket_flit_hops", "dir_dyn_energy_pj" — the spelling
 // results/BENCH_grid.json has always used), a unit, a kind (which fixes the
-// emitter formatting), a doc string, and an accessor over SimStats.
+// emitter formatting; MetricKind lives in common/stat_fields.hpp), a doc
+// string, and an accessor over SimStats.
 //
 // Emitters (emit.hpp), the per-bench tables, the time-series sampler
 // (series.hpp) and the raccd-report diff tool (diff.hpp) all select metrics
-// from this one registry by name, so adding a counter to SimStats means
-// adding exactly one descriptor here — every output format picks it up, and
-// the schema-completeness test (tests/test_metrics.cpp) fails until you do.
+// from this one registry by name. Raw counters come from the stats field
+// lists (one row per counter, next to each stats struct); only derived
+// ratios and totals are written out in metric_schema.cpp. Adding a counter
+// is therefore one list row plus its name in the schema-completeness test
+// (tests/test_metrics.cpp), which fails until both agree.
 #pragma once
 
 #include <cstdint>
@@ -25,26 +28,6 @@
 #include "raccd/sim/stats.hpp"
 
 namespace raccd {
-
-/// What a metric measures; fixes formatting and the perf-gate tolerance class.
-enum class MetricKind : std::uint8_t {
-  kCounter,       ///< event count (integer, exact under determinism)
-  kCycles,        ///< simulated-cycle total (integer)
-  kRatio,         ///< dimensionless [0,1]-ish fraction (printed %.6f)
-  kEnergy,        ///< picojoules (printed %.3f)
-  kDistribution,  ///< summary stat of a latency distribution (printed %.1f)
-};
-
-[[nodiscard]] constexpr const char* to_string(MetricKind k) noexcept {
-  switch (k) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kCycles: return "cycles";
-    case MetricKind::kRatio: return "ratio";
-    case MetricKind::kEnergy: return "energy";
-    case MetricKind::kDistribution: return "distribution";
-  }
-  return "?";
-}
 
 /// A metric sample: integer-valued kinds keep full 64-bit precision.
 struct MetricValue {

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 
+#include "raccd/common/stat_fields.hpp"
 #include "raccd/common/types.hpp"
 #include "raccd/topo/topology.hpp"
 
@@ -50,11 +51,35 @@ struct MeshConfig {
   std::uint32_t data_bytes = 8 + kLineBytes;       ///< header + cache line
 };
 
+// Traffic counters kept per message class and for cross-socket messages:
+// X(MEMBER, UNIT, DOC, CROSS_DOC, CONTEXT...). NocStats::for_each_field
+// spells their stats-text keys and metrics ("noc1_flits" /
+// "noc.data.flits", "noc_cross_flits" / "noc.flits.cross_socket").
+#define RACCD_NOC_CLASS_STATS(X, ...)                                           \
+  X(messages, "", "messages", "messages that crossed a socket link", __VA_ARGS__) \
+  X(flits, "flits", "flits", "flits of cross-socket messages", __VA_ARGS__)       \
+  X(flit_hops, "flit-hops", "flit-hops",                                          \
+    "flit-hops of messages that crossed a socket link", __VA_ARGS__)
+
+// Field list (common/stat_fields.hpp): member, stats-text key, metric.
+#define RACCD_NOC_STATS(X)                                                     \
+  X(std::uint64_t, socket_link_flits, "noc_socket_link_flits",                 \
+    "noc.socket_link_flits", "noc_socket_link_flits", "flits", kCounter,       \
+    "flits carried over the inter-socket links themselves")
+
+#define RACCD_NOC_CLASS_MEMBER(MEMBER, ...) std::uint64_t MEMBER = 0;
+#define RACCD_NOC_CLASS_VISIT(MEMBER, UNIT, DOC, CROSS_DOC, IDX, CLS)                 \
+  f(StatField{"noc" #IDX "_" #MEMBER, "noc." CLS "." #MEMBER, "noc_" CLS "_" #MEMBER, \
+              UNIT, MetricKind::kCounter, CLS " " DOC},                               \
+    [](auto& s) -> auto& { return s.per_class[IDX].MEMBER; });
+#define RACCD_NOC_CROSS_VISIT(MEMBER, UNIT, DOC, CROSS_DOC, ...)              \
+  f(StatField{"noc_cross_" #MEMBER, "noc." #MEMBER ".cross_socket",           \
+              "noc_cross_socket_" #MEMBER, UNIT, MetricKind::kCounter, CROSS_DOC}, \
+    [](auto& s) -> auto& { return s.cross_socket.MEMBER; });
+
 struct NocStats {
   struct PerClass {
-    std::uint64_t messages = 0;
-    std::uint64_t flits = 0;
-    std::uint64_t flit_hops = 0;
+    RACCD_NOC_CLASS_STATS(RACCD_NOC_CLASS_MEMBER, )
   };
   std::array<PerClass, kMsgClassCount> per_class{};
   /// Subset of the above that traversed an inter-socket link (all zero on
@@ -62,7 +87,19 @@ struct NocStats {
   PerClass cross_socket{};
   /// Flits carried over the inter-socket links themselves (the off-package
   /// bandwidth demand, as opposed to cross-socket messages' total hops).
-  std::uint64_t socket_link_flits = 0;
+  RACCD_NOC_STATS(RACCD_STAT_MEMBER)
+
+  template <class F>
+  static constexpr void for_each_field(F&& f) {
+    static_assert(kMsgClassCount == 5, "one expansion per MsgClass below");
+    RACCD_NOC_CLASS_STATS(RACCD_NOC_CLASS_VISIT, 0, "request")
+    RACCD_NOC_CLASS_STATS(RACCD_NOC_CLASS_VISIT, 1, "data")
+    RACCD_NOC_CLASS_STATS(RACCD_NOC_CLASS_VISIT, 2, "inval")
+    RACCD_NOC_CLASS_STATS(RACCD_NOC_CLASS_VISIT, 3, "ack")
+    RACCD_NOC_CLASS_STATS(RACCD_NOC_CLASS_VISIT, 4, "writeback")
+    RACCD_NOC_CLASS_STATS(RACCD_NOC_CROSS_VISIT, )
+    RACCD_NOC_STATS(RACCD_STAT_VISIT)
+  }
 
   [[nodiscard]] std::uint64_t total_messages() const noexcept;
   [[nodiscard]] std::uint64_t total_flits() const noexcept;
@@ -70,8 +107,13 @@ struct NocStats {
   [[nodiscard]] std::uint64_t on_socket_flit_hops() const noexcept {
     return total_flit_hops() - cross_socket.flit_hops;
   }
-  void add(const NocStats& o) noexcept;
+  void add(const NocStats& o) noexcept { add_fields(*this, o); }
 };
+static_assert(stat_fields_cover<NocStats>(), "NocStats member outside its field list");
+
+#undef RACCD_NOC_CLASS_MEMBER
+#undef RACCD_NOC_CLASS_VISIT
+#undef RACCD_NOC_CROSS_VISIT
 
 class Mesh {
  public:

@@ -1,202 +1,20 @@
 #include "raccd/obs/trace_validate.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
-#include <memory>
 
 #include "raccd/common/format.hpp"
+#include "raccd/common/json.hpp"
 
 namespace raccd::obs {
 namespace {
 
-// -- A minimal JSON DOM, just enough for trace files ---------------------------
+using json::Value;
 
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = Kind::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::shared_ptr<JsonArray> arr;
-  std::shared_ptr<JsonObject> obj;
-
-  [[nodiscard]] const JsonValue* get(const std::string& key) const {
-    if (kind != Kind::kObject) return nullptr;
-    const auto it = obj->find(key);
-    return it == obj->end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] bool parse(JsonValue& out, std::string* error) {
-    if (!value(out)) {
-      *error = strprintf("JSON parse error at offset %zu: %s", pos_, err_.c_str());
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      *error = strprintf("trailing garbage at offset %zu", pos_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] bool fail(const char* what) {
-    if (err_.empty()) err_ = what;
-    return false;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  [[nodiscard]] bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  [[nodiscard]] bool string(std::string& out) {
-    if (!consume('"')) return fail("expected string");
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail("bad escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad \\u escape");
-            }
-            // Validation only ever compares ASCII names; fold the rest.
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default: return fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  [[nodiscard]] bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kObject;
-      out.obj = std::make_shared<JsonObject>();
-      skip_ws();
-      if (consume('}')) return true;
-      while (true) {
-        std::string key;
-        if (!string(key)) return false;
-        if (!consume(':')) return fail("expected ':'");
-        JsonValue v;
-        if (!value(v)) return false;
-        (*out.obj)[std::move(key)] = std::move(v);
-        if (consume(',')) continue;
-        if (consume('}')) return true;
-        return fail("expected ',' or '}'");
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kArray;
-      out.arr = std::make_shared<JsonArray>();
-      skip_ws();
-      if (consume(']')) return true;
-      while (true) {
-        JsonValue v;
-        if (!value(v)) return false;
-        out.arr->push_back(std::move(v));
-        if (consume(',')) continue;
-        if (consume(']')) return true;
-        return fail("expected ',' or ']'");
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string(out.str);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::kBool;
-      out.b = true;
-      return literal("true") || fail("bad literal");
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::kBool;
-      out.b = false;
-      return literal("false") || fail("bad literal");
-    }
-    if (c == 'n') {
-      out.kind = JsonValue::Kind::kNull;
-      return literal("null") || fail("bad literal");
-    }
-    // number
-    const std::size_t start = pos_;
-    if (c == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("unexpected character");
-    out.kind = JsonValue::Kind::kNumber;
-    out.num = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::string err_;
-};
-
-[[nodiscard]] bool number_field(const JsonValue& ev, const char* key, double& out) {
-  const JsonValue* v = ev.get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return false;
-  out = v->num;
+[[nodiscard]] bool number_field(const Value& ev, const char* key, double& out) {
+  const Value* v = ev.get(key);
+  if (v == nullptr || v->kind != Value::Kind::kNumber) return false;
+  out = v->number;
   return true;
 }
 
@@ -204,23 +22,21 @@ class JsonParser {
 
 TraceValidation validate_trace_json(std::string_view json) {
   TraceValidation r;
-  JsonValue root;
-  std::string perr;
-  JsonParser parser(json);
-  if (!parser.parse(root, &perr)) {
-    r.errors.push_back(perr);
+  Value root;
+  if (const std::string err = json::parse(json, root); !err.empty()) {
+    r.errors.push_back("JSON parse error: " + err);
     return r;
   }
-  if (root.kind != JsonValue::Kind::kObject) {
+  if (root.kind != Value::Kind::kObject) {
     r.errors.push_back("top level is not an object");
     return r;
   }
-  const JsonValue* events = root.get("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
+  const Value* events = root.get("traceEvents");
+  if (events == nullptr || events->kind != Value::Kind::kArray) {
     r.errors.push_back("missing traceEvents array");
     return r;
   }
-  if (const JsonValue* meta = root.get("raccd"); meta != nullptr) {
+  if (const Value* meta = root.get("raccd"); meta != nullptr) {
     double d = 0.0;
     if (number_field(*meta, "dropped_total", d)) {
       r.dropped = static_cast<std::uint64_t>(d);
@@ -238,23 +54,23 @@ TraceValidation validate_trace_json(std::string_view json) {
     }
   };
 
-  for (std::size_t i = 0; i < events->arr->size(); ++i) {
-    const JsonValue& ev = (*events->arr)[i];
-    if (ev.kind != JsonValue::Kind::kObject) {
+  for (std::size_t i = 0; i < events->array.size(); ++i) {
+    const Value& ev = events->array[i];
+    if (ev.kind != Value::Kind::kObject) {
       err(i, "not an object");
       continue;
     }
-    const JsonValue* name = ev.get("name");
-    const JsonValue* ph = ev.get("ph");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString) {
+    const Value* name = ev.get("name");
+    const Value* ph = ev.get("ph");
+    if (name == nullptr || name->kind != Value::Kind::kString) {
       err(i, "missing name");
       continue;
     }
-    if (ph == nullptr || ph->kind != JsonValue::Kind::kString || ph->str.size() != 1) {
+    if (ph == nullptr || ph->kind != Value::Kind::kString || ph->string.size() != 1) {
       err(i, "missing/bad ph");
       continue;
     }
-    const char phase = ph->str[0];
+    const char phase = ph->string[0];
     if (phase == 'M') {
       ++r.metadata;
       continue;
@@ -293,14 +109,14 @@ TraceValidation validate_trace_json(std::string_view json) {
       }
       track.last_ts = ts;
       if (phase == 'B') {
-        track.open.push_back(name->str);
+        track.open.push_back(name->string);
       } else {
         if (track.open.empty()) {
           err(i, strprintf("E '%s' with no open B on track (%g,%g)",
-                           name->str.c_str(), pid, tid));
+                           name->string.c_str(), pid, tid));
         } else {
-          if (track.open.back() != name->str) {
-            err(i, strprintf("E '%s' closes B '%s'", name->str.c_str(),
+          if (track.open.back() != name->string) {
+            err(i, strprintf("E '%s' closes B '%s'", name->string.c_str(),
                              track.open.back().c_str()));
           }
           track.open.pop_back();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "raccd/common/assert.hpp"
 #include "raccd/common/bits.hpp"
@@ -30,80 +31,16 @@ namespace {
 
 /// Measured-bucket counters scaled up to run totals: every event counter and
 /// dynamic-energy term extrapolates uniformly by the access ratio.
-[[nodiscard]] FabricStats scaled(const FabricStats& m, double s) noexcept {
-  FabricStats o = m;
-#define RACCD_SCALE_FIELD(f) o.f = scale_u(m.f, s)
-  RACCD_SCALE_FIELD(l1_accesses);
-  RACCD_SCALE_FIELD(l1_hits);
-  RACCD_SCALE_FIELD(l1_misses);
-  RACCD_SCALE_FIELD(l1_evictions);
-  RACCD_SCALE_FIELD(l1_wb_coh);
-  RACCD_SCALE_FIELD(l1_wb_nc);
-  RACCD_SCALE_FIELD(l1_invals_sharer);
-  RACCD_SCALE_FIELD(l1_invals_recall);
-  RACCD_SCALE_FIELD(l1_flush_nc_lines);
-  RACCD_SCALE_FIELD(l1_flush_nc_wbs);
-  RACCD_SCALE_FIELD(l1_flush_page_lines);
-  RACCD_SCALE_FIELD(l1_flush_page_wbs);
-  RACCD_SCALE_FIELD(llc_lookups);
-  RACCD_SCALE_FIELD(llc_hits);
-  RACCD_SCALE_FIELD(llc_misses);
-  RACCD_SCALE_FIELD(llc_nc_lookups);
-  RACCD_SCALE_FIELD(llc_nc_hits);
-  RACCD_SCALE_FIELD(llc_fills);
-  RACCD_SCALE_FIELD(llc_evictions);
-  RACCD_SCALE_FIELD(llc_inval_by_dir);
-  RACCD_SCALE_FIELD(llc_wb_mem);
-  RACCD_SCALE_FIELD(llc_touches);
-  RACCD_SCALE_FIELD(dir_accesses);
-  RACCD_SCALE_FIELD(dir_lookups);
-  RACCD_SCALE_FIELD(dir_hits);
-  RACCD_SCALE_FIELD(dir_misses);
-  RACCD_SCALE_FIELD(dir_allocs);
-  RACCD_SCALE_FIELD(dir_evictions);
-  RACCD_SCALE_FIELD(dir_recall_msgs);
-  RACCD_SCALE_FIELD(dir_wb_updates);
-  RACCD_SCALE_FIELD(dir_nc_to_coh);
-  RACCD_SCALE_FIELD(dir_coh_to_nc);
-  RACCD_SCALE_FIELD(coh_reads);
-  RACCD_SCALE_FIELD(coh_writes);
-  RACCD_SCALE_FIELD(upgrades);
-  RACCD_SCALE_FIELD(nc_reads);
-  RACCD_SCALE_FIELD(nc_writes);
-  RACCD_SCALE_FIELD(owner_probes);
-  RACCD_SCALE_FIELD(dir_reqs_cross_socket);
-  RACCD_SCALE_FIELD(nc_reqs_cross_socket);
-  RACCD_SCALE_FIELD(mem_reads);
-  RACCD_SCALE_FIELD(mem_writes);
-  RACCD_SCALE_FIELD(mem_wb_wait_cycles);
-  RACCD_SCALE_FIELD(dram_row_hits);
-  RACCD_SCALE_FIELD(dram_row_misses);
-  RACCD_SCALE_FIELD(dram_row_conflicts);
-  RACCD_SCALE_FIELD(dram_queue_wait_cycles);
-#undef RACCD_SCALE_FIELD
-  o.e_dir_pj = m.e_dir_pj * s;
-  o.e_llc_pj = m.e_llc_pj * s;
-  o.e_l1_pj = m.e_l1_pj * s;
-  o.e_noc_pj = m.e_noc_pj * s;
-  o.e_mem_pj = m.e_mem_pj * s;
-  o.e_mem_act_pj = m.e_mem_act_pj * s;
-  o.e_mem_rd_pj = m.e_mem_rd_pj * s;
-  o.e_mem_wr_pj = m.e_mem_wr_pj * s;
-  o.e_mem_pre_pj = m.e_mem_pre_pj * s;
-  return o;
-}
-
-[[nodiscard]] NocStats scaled(const NocStats& m, double s) noexcept {
-  NocStats o = m;
-  for (std::size_t i = 0; i < o.per_class.size(); ++i) {
-    o.per_class[i].messages = scale_u(m.per_class[i].messages, s);
-    o.per_class[i].flits = scale_u(m.per_class[i].flits, s);
-    o.per_class[i].flit_hops = scale_u(m.per_class[i].flit_hops, s);
-  }
-  o.cross_socket.messages = scale_u(m.cross_socket.messages, s);
-  o.cross_socket.flits = scale_u(m.cross_socket.flits, s);
-  o.cross_socket.flit_hops = scale_u(m.cross_socket.flit_hops, s);
-  o.socket_link_flits = scale_u(m.socket_link_flits, s);
+template <class S>
+[[nodiscard]] S scaled(const S& m, double s) noexcept {
+  S o = m;
+  S::for_each_field([&](const StatField&, auto field) {
+    if constexpr (std::is_floating_point_v<std::remove_reference_t<decltype(field(o))>>) {
+      field(o) = field(m) * s;
+    } else {
+      field(o) = scale_u(field(m), s);
+    }
+  });
   return o;
 }
 
@@ -711,14 +648,7 @@ void Machine::snapshot_stats(Cycle at, SimStats& s) const {
   s.fabric = fabric_.stats();
   s.noc = fabric_.mesh().stats();
   backend_->accumulate(s);  // mode-private stats (NCRT, PT classifier)
-  for (const auto& tlb : tlbs_) {
-    const TlbStats& t = tlb.stats();
-    s.tlb.lookups += t.lookups;
-    s.tlb.hits += t.hits;
-    s.tlb.misses += t.misses;
-    s.tlb.shootdowns += t.shootdowns;
-    s.tlb.evictions += t.evictions;
-  }
+  for (const auto& tlb : tlbs_) s.tlb.add(tlb.stats());
   s.adr = adr_.stats();
   s.tasks = rt_.stats().tasks_created;
   s.edges = rt_.stats().edges;

@@ -11,18 +11,30 @@
 #include <vector>
 
 #include "raccd/common/flat_map.hpp"
+#include "raccd/common/stat_fields.hpp"
 #include "raccd/common/types.hpp"
 #include "raccd/mem/page_table.hpp"
 
 namespace raccd {
 
+// Field list (common/stat_fields.hpp): member, stats-text key, metric.
+#define RACCD_TLB_STATS(X)                                                              \
+  X(std::uint64_t, lookups, "tlb_lookups", "tlb.lookups", "tlb_lookups", "", kCounter,  \
+    "TLB lookups")                                                                      \
+  X(std::uint64_t, hits, "tlb_hits", "tlb.hits", "tlb_hits", "", kCounter, "TLB hits")  \
+  X(std::uint64_t, misses, "tlb_misses", "tlb.misses", "tlb_misses", "", kCounter,      \
+    "TLB misses (page walks)")                                                          \
+  X(std::uint64_t, shootdowns, "tlb_shootdowns", "tlb.shootdowns", "tlb_shootdowns", "", \
+    kCounter, "entries invalidated by remote shootdown")                                \
+  X(std::uint64_t, evictions, "tlb_evictions", "tlb.evictions", "tlb_evictions", "",    \
+    kCounter, "capacity-driven LRU evictions")
+
 struct TlbStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t shootdowns = 0;  ///< entries invalidated by remote request
-  std::uint64_t evictions = 0;   ///< capacity-driven LRU evictions
+  RACCD_TLB_STATS(RACCD_STAT_MEMBER)
+  RACCD_STAT_FOR_EACH(RACCD_TLB_STATS)
+  void add(const TlbStats& o) noexcept { add_fields(*this, o); }
 };
+static_assert(stat_fields_cover<TlbStats>(), "TlbStats member outside its field list");
 
 class Tlb {
  public:

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "raccd/harness/experiment.hpp"
@@ -65,6 +67,54 @@ TEST(StatsIo, RoundTrip) {
 TEST(StatsIo, RejectsWrongVersion) {
   EXPECT_FALSE(stats_from_text("format=0\ncycles=5\n").has_value());
   EXPECT_FALSE(stats_from_text("garbage").has_value());
+}
+
+/// The stats text of the first entry in the loop golden (a real detailed
+/// run), without its "=== key" header and trailing hook/series lines.
+[[nodiscard]] std::string first_golden_stats_text() {
+  std::ifstream in(RACCD_TEST_GOLDEN_DIR "/loop_stats.txt");
+  std::string line, text;
+  std::getline(in, line);  // "=== <key> ..."
+  while (std::getline(in, line) && line.rfind("---", 0) != 0) text += line + "\n";
+  return text;
+}
+
+TEST(StatsIo, CorruptEntriesAreMisses) {
+  // Junk values, a missing field, an unknown field and a wrong version are
+  // misses, never a result with zeros where the numbers should be.
+  EXPECT_FALSE(stats_from_text("format=5\ncycles=abc\n").has_value());
+  EXPECT_FALSE(stats_from_text("format=5\ncycles=12x\n").has_value());
+  EXPECT_FALSE(stats_from_text("format=5\n").has_value());
+  EXPECT_FALSE(stats_from_text("format=5x\ncycles=7\n").has_value());
+
+  const std::string golden = first_golden_stats_text();
+  ASSERT_EQ(golden.rfind("format=5\n", 0), 0u);
+  const auto parsed = stats_from_text(golden);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(stats_to_text(*parsed), golden);
+  EXPECT_FALSE(stats_from_text(golden + "bogus_counter=1\n").has_value());
+  EXPECT_FALSE(stats_from_text(golden + "cycles=1\n").has_value());  // duplicate
+
+  // A stored entry with any one line dropped reads back as a cache miss.
+  const std::string dir = "test_cache_corrupt";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(cache_store(dir, "golden-entry", *parsed));
+  const std::filesystem::path file = std::filesystem::directory_iterator(dir)->path();
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(file);
+    for (std::string l; std::getline(in, l);) lines.push_back(l);
+  }
+  ASSERT_GT(lines.size(), 100u);
+  for (std::size_t drop = 0; drop < lines.size(); ++drop) {
+    std::ofstream out(file, std::ios::trunc);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (i != drop) out << lines[i] << '\n';
+    }
+    out.close();
+    EXPECT_FALSE(cache_load(dir, "golden-entry").has_value()) << "dropped: " << lines[drop];
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCache, StoreAndLoad) {

@@ -272,6 +272,19 @@ TEST(LoopGolden, StatsMatchPinnedGoldenAndParallelSweep) {
     std::ofstream(kGoldenPath, std::ios::binary) << got;
     GTEST_SKIP() << "golden rewritten: " << kGoldenPath;
   }
+  // unpack is pinned too: every serial text reads back to itself, gated
+  // sampling and service groups included.
+  std::size_t sampled = 0, service = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto back = stats_from_text(serial_text[i]);
+    ASSERT_TRUE(back.has_value()) << specs[i].key();
+    EXPECT_EQ(stats_to_text(*back), serial_text[i]) << specs[i].key();
+    sampled += back->sampling.active != 0;
+    service += back->service.requests != 0;
+  }
+  EXPECT_GE(sampled, 1u);
+  EXPECT_GE(service, 1u);
+
   const std::string want = read_file(kGoldenPath);
   ASSERT_FALSE(want.empty()) << "missing golden " << kGoldenPath;
   EXPECT_EQ(got, want) << "simulated results moved; if intended, regenerate "

@@ -1,5 +1,6 @@
-// Metrics layer tests: schema completeness (every SimStats field reachable
-// by name — the static list below is the contract a new field must join),
+// Metrics layer tests: schema completeness (every metric-bearing stats field
+// reachable by name — a new field-list row must also join the static list
+// below),
 // kind-based formatting, selection parsing, emitter escaping, and the
 // byte-compatibility + round-trip guarantees of the BENCH_grid.json payload.
 #include <gtest/gtest.h>
@@ -21,9 +22,10 @@ namespace raccd {
 namespace {
 
 // Every metric the schema must expose, by canonical dotted name. This list
-// is deliberately spelled out: adding a field to SimStats (or a derived
-// quantity) means adding a descriptor AND a line here, which is what keeps
-// "silently unreported counter" impossible.
+// is deliberately spelled out: adding a counter means one row in its stats
+// struct's field list (common/stat_fields.hpp) AND its name here; a derived
+// quantity means a descriptor in metric_schema.cpp AND its name here. That
+// pairing is what keeps "silently unreported counter" impossible.
 const char* const kExpectedNames[] = {
     "cycles", "time.busy_cycles", "time.core_utilization",
     // L1

@@ -130,6 +130,18 @@ TEST(TraceValidate, AcceptsBalancedSpansAndRejectsImbalance) {
   EXPECT_FALSE(obs::validate_trace_json("{\"traceEvents\":42}").ok);
 }
 
+TEST(TraceValidate, DeepNestingIsAnError) {
+  // A million '[' used to recurse until the stack overflowed.
+  const obs::TraceValidation deep = obs::validate_trace_json(std::string(1'000'000, '['));
+  EXPECT_FALSE(deep.ok);
+  ASSERT_FALSE(deep.errors.empty());
+  EXPECT_NE(deep.errors.front().find("nesting"), std::string::npos) << deep.errors.front();
+  EXPECT_NE(deep.errors.front().find("offset 256"), std::string::npos) << deep.errors.front();
+  // Trailing bytes after the document are rejected as well.
+  EXPECT_FALSE(obs::validate_trace_json("{\"traceEvents\":[]} []").ok);
+  EXPECT_TRUE(obs::validate_trace_json("{\"traceEvents\":[]}\n").ok);
+}
+
 TEST(MachineTrace, TwoCoreJacobiTraceIsStructurallyValid) {
   obs::TraceSink sink;
   const SimStats s = run_traced("jacobi", CohMode::kRaCCD, 2, &sink);

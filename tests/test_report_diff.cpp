@@ -51,6 +51,25 @@ TEST(BenchJsonParser, HandlesEscapesNestingAndEmpty) {
   EXPECT_NE(parse_bench_json("[1,2]", log), "");
 }
 
+TEST(BenchJsonParser, DeepNestingIsAnError) {
+  // A million '[' in a metric value used to recurse until the stack
+  // overflowed; the cap stops at depth 256 and names the offset.
+  BenchLog log;
+  const std::string deep = "{\"k\": {\"n\": " + std::string(1'000'000, '[');
+  std::string err = parse_bench_json(deep, log);
+  EXPECT_NE(err.find("nesting deeper than 256 at offset 266"), std::string::npos) << err;
+  err = parse_bench_json(std::string(1'000'000, '['), log);
+  EXPECT_NE(err.find("nesting deeper than 256 at offset 256"), std::string::npos) << err;
+  // Nesting inside the 256-level cap still parses (and is skipped).
+  const std::string ok_nest = "{\"k\": {\"a\": 1, \"n\": " + std::string(200, '[') +
+                              std::string(200, ']') + "}}";
+  ASSERT_EQ(parse_bench_json(ok_nest, log), "");
+  EXPECT_DOUBLE_EQ(log.at("k").at("a"), 1.0);
+  // Trailing bytes after the top-level object are an error too.
+  EXPECT_NE(parse_bench_json("{\"k\": {\"a\": 1}} x", log), "");
+  EXPECT_NE(parse_bench_json("{}{}", log), "");
+}
+
 TEST(BenchDiff, IdenticalLogsPass) {
   const BenchLog log = one_key("k", {{"cycles", 1000.0}, {"dir_accesses", 5.0}});
   const BenchDiff d = diff_bench_logs(log, log);
