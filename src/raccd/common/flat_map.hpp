@@ -11,10 +11,13 @@
 //    physical space is bounded (phys_mb), so a vector of lazily-allocated
 //    fixed-size chunks gives O(1) loads/stores with zero hashing and zero
 //    per-entry allocation; untouched regions cost one null pointer per chunk.
-//  * OpenPageMap — an open-addressed linear-probing table with backward-shift
-//    deletion for the TLB's vpage -> slot index. Capacity is fixed at 4x the
-//    TLB entry count (load factor <= 0.25), so probes are contiguous and
-//    short.
+//  * OpenAddrMap — an open-addressed linear-probing table with backward-shift
+//    deletion over integer keys. It grows by doubling past 75% load, so a
+//    table sized up front for its entry count never grows. Two instances:
+//    OpenPageMap, the TLB's vpage -> slot index, sized at 4x the TLB entry
+//    count (load factor <= 0.25, short contiguous probes); and the dependence
+//    registry's segment-begin -> tree-node index, which starts small and
+//    grows with the segment count.
 //
 // The stats golden (tests/test_loop_golden.cpp) pins that these structures
 // produce the same simulated results as the hash maps they replaced.
@@ -68,40 +71,43 @@ class PagedLineMap {
   std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
 };
 
-/// Open-addressed PageNum -> uint32 map: linear probing, power-of-two
-/// capacity, backward-shift deletion (no tombstones, so probe runs never
-/// degrade). Sized once for a bounded entry count (the TLB capacity).
-/// Occupancy is encoded in the key itself (kEmpty sentinel — page numbers
-/// are addresses >> 12 and can never reach 2^64-1), so a probe touches one
-/// contiguous array only.
-class OpenPageMap {
+/// Open-addressed Key -> Value map: linear probing, power-of-two capacity,
+/// backward-shift deletion (no tombstones, so probe runs never degrade).
+/// Occupancy is encoded in the key itself (the kEmpty sentinel, ~Key{0}),
+/// so a probe touches one contiguous array only; callers never insert
+/// kEmpty (page numbers are addresses >> 12 and cannot reach it; the
+/// dependence registry asserts its range ends stay below it). insert()
+/// doubles the capacity once the load would pass 3/4.
+template <typename Key, typename Value>
+class OpenAddrMap {
  public:
-  static constexpr PageNum kEmpty = ~PageNum{0};
+  static constexpr Key kEmpty = ~Key{0};
 
-  explicit OpenPageMap(std::uint32_t max_entries) {
+  /// Sized for `max_entries` at <= 25% load: a table that never holds more
+  /// never grows.
+  explicit OpenAddrMap(std::uint32_t max_entries = 0) {
     std::uint32_t cap = 16;
-    // <= 25% load factor keeps probe runs at a handful of contiguous slots.
     while (cap < max_entries * 4) cap <<= 1;
-    slots_.assign(cap, Slot{kEmpty, 0});
+    slots_.assign(cap, Slot{});
     mask_ = cap - 1;
   }
 
-  [[nodiscard]] std::uint32_t* find(PageNum key) noexcept {
+  [[nodiscard]] Value* find(Key key) noexcept {
     for (std::uint32_t i = home(key);; i = (i + 1) & mask_) {
       if (slots_[i].key == key) return &slots_[i].value;
       if (slots_[i].key == kEmpty) return nullptr;
     }
   }
 
-  /// Insert a key known to be absent (the TLB checks with find() first).
-  void insert(PageNum key, std::uint32_t value) noexcept {
-    std::uint32_t i = home(key);
-    while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
-    slots_[i] = Slot{key, value};
+  /// Insert a key known to be absent (the callers check with find() first
+  /// or know it from their own invariants).
+  void insert(Key key, Value value) {
+    if ((size_ + 1) * 4 > capacity() * 3) grow();
+    place(key, value);
     ++size_;
   }
 
-  bool erase(PageNum key) noexcept {
+  bool erase(Key key) noexcept {
     std::uint32_t i = home(key);
     for (;; i = (i + 1) & mask_) {
       if (slots_[i].key == kEmpty) return false;
@@ -126,7 +132,7 @@ class OpenPageMap {
   }
 
   void clear() noexcept {
-    slots_.assign(slots_.size(), Slot{kEmpty, 0});
+    slots_.assign(slots_.size(), Slot{});
     size_ = 0;
   }
 
@@ -135,19 +141,37 @@ class OpenPageMap {
 
  private:
   struct Slot {
-    PageNum key = kEmpty;
-    std::uint32_t value = 0;
+    Key key = kEmpty;
+    Value value{};
   };
 
-  [[nodiscard]] std::uint32_t home(PageNum key) const noexcept {
+  [[nodiscard]] std::uint32_t home(Key key) const noexcept {
     // Fibonacci multiplicative hash; high bits feed the mask.
-    const std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
+    const std::uint64_t h = static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull;
     return static_cast<std::uint32_t>(h >> 32) & mask_;
+  }
+
+  void place(Key key, Value value) noexcept {
+    std::uint32_t i = home(key);
+    while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
+    slots_[i] = Slot{key, value};
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2, Slot{});
+    old.swap(slots_);
+    mask_ = static_cast<std::uint32_t>(slots_.size()) - 1;
+    for (const Slot& s : old) {
+      if (s.key != kEmpty) place(s.key, s.value);
+    }
   }
 
   std::vector<Slot> slots_;
   std::uint32_t mask_ = 0;
   std::uint32_t size_ = 0;
 };
+
+/// The TLB's vpage -> slot index.
+using OpenPageMap = OpenAddrMap<PageNum, std::uint32_t>;
 
 }  // namespace raccd

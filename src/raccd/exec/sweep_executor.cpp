@@ -26,6 +26,8 @@ unsigned SweepExecutor::effective_jobs(unsigned jobs, std::size_t todo) {
 std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
                                          std::vector<Series>* series_out) {
   failures_.clear();
+  dropped_.clear();
+  statuses_.assign(specs.size(), SlotStatus::kRan);
   // Host-side wall-time profile of this sweep: filled as the sweep runs,
   // published through obs::last_sweep_profile() at the end (export timing is
   // accumulated there later by the grid emitters). Observation only — it
@@ -94,6 +96,12 @@ std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
   }
 
   profile.deduped = dup.size();
+  // Every uncached slot starts as not run here; run_slot() settles the ones
+  // it reaches, so whatever a failure cancels stays kDropped.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (pending[i] != 0) statuses_[i] = SlotStatus::kOtherShard;
+  }
+  for (const std::size_t i : todo) statuses_[i] = SlotStatus::kDropped;
 
   {
     const unsigned jobs = effective_jobs(opts_.jobs, todo.size());
@@ -151,6 +159,7 @@ std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
         else ++profile.failed;
       }
       if (!stats.has_value()) {
+        statuses_[i] = SlotStatus::kFailed;
         stop.store(true, std::memory_order_relaxed);
         {
           const std::lock_guard<std::mutex> lock(failures_mutex);
@@ -160,6 +169,7 @@ std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
         return;
       }
       results[i] = *stats;
+      statuses_[i] = SlotStatus::kRan;
       if (opts_.use_cache && !cache_store(opts_.cache_dir, key, results[i]) &&
           opts_.verbose) {
         std::fprintf(stderr, "warning: could not store cache entry '%s' under %s\n",
@@ -191,12 +201,20 @@ std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
       profile.steals = pool.steal_count();
     }
     profile.wall_s = wall.seconds();
-    progress.set_summary_extra(profile.summary());
+    std::string summary = profile.summary();
+    for (const std::size_t i : todo) {
+      if (statuses_[i] != SlotStatus::kDropped) continue;
+      summary += dropped_.empty() ? " | dropped: " : ", ";
+      dropped_.push_back(specs[i].key());
+      summary += dropped_.back();
+    }
+    progress.set_summary_extra(std::move(summary));
     progress.finish();
   }
 
   for (const auto& [dst, src] : dup) {
     results[dst] = results[src];
+    statuses_[dst] = statuses_[src];
     if (series_out != nullptr && samples(dst)) (*series_out)[dst] = (*series_out)[src];
   }
   // Publish for bench binaries / grid emitters; export_s starts at zero and

@@ -25,7 +25,9 @@
 //    and error, cancels all queued specs, and lets in-flight specs drain;
 //    it does not abort the process mid-sweep. Callers inspect failures()
 //    (run_all reports them and then aborts, preserving its historical
-//    contract). RACCD_ASSERT failures deep inside the simulator still
+//    contract). A cancelled spec is never silent: its slot is marked
+//    dropped in statuses() and its key listed in dropped() and in the
+//    progress summary. RACCD_ASSERT failures deep inside the simulator still
 //    abort the process — those are simulator invariants, not run failures.
 //
 // jobs == 1 runs every spec inline on the calling thread (no pool, exactly
@@ -33,6 +35,7 @@
 // profiler sees one stack.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -46,14 +49,24 @@ struct SweepFailure {
   std::string error;
 };
 
+/// What the last run() did with one result slot. Only kRan slots hold stats;
+/// the others keep zeroed stats.
+enum class SlotStatus : std::uint8_t {
+  kRan,         ///< simulated, loaded from the cache, or copied from a duplicate
+  kFailed,      ///< started and failed (see failures())
+  kDropped,     ///< never started: an earlier failure cancelled it
+  kOtherShard,  ///< uncached and assigned to another --shard
+};
+
 class SweepExecutor {
  public:
   explicit SweepExecutor(const RunOptions& opts) : opts_(opts) {}
 
   /// Execute `specs`; results align with specs by index. Cached results are
   /// loaded up front, the remainder is deduplicated, sharded (--shard=i/N),
-  /// and fanned over the pool. On failure the sweep stops issuing new work,
-  /// drains, and the failed slots keep zeroed stats — check failures().
+  /// and fanned over the pool. On failure the sweep stops issuing new work
+  /// and drains; failed and dropped slots keep zeroed stats — check
+  /// statuses() (or failures() and dropped()).
   [[nodiscard]] std::vector<SimStats> run(const std::vector<RunSpec>& specs,
                                           std::vector<Series>* series_out = nullptr);
 
@@ -63,6 +76,17 @@ class SweepExecutor {
     return failures_;
   }
 
+  /// Outcome of each slot of the last run(), aligned with its specs.
+  [[nodiscard]] const std::vector<SlotStatus>& statuses() const noexcept {
+    return statuses_;
+  }
+
+  /// Keys of the specs the last run() dropped, in spec order (duplicates of
+  /// one key listed once).
+  [[nodiscard]] const std::vector<std::string>& dropped() const noexcept {
+    return dropped_;
+  }
+
   /// Effective worker count for `jobs` (0 = hardware concurrency) and a
   /// sweep of `todo` runs (never more workers than runs, never 0).
   [[nodiscard]] static unsigned effective_jobs(unsigned jobs, std::size_t todo);
@@ -70,6 +94,8 @@ class SweepExecutor {
  private:
   RunOptions opts_;
   std::vector<SweepFailure> failures_;
+  std::vector<SlotStatus> statuses_;
+  std::vector<std::string> dropped_;
 };
 
 }  // namespace raccd

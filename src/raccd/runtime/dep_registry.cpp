@@ -1,31 +1,45 @@
 #include "raccd/runtime/dep_registry.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "raccd/common/assert.hpp"
 
 namespace raccd {
 
-void DepRegistry::split_at(VAddr addr) {
-  auto it = segs_.upper_bound(addr);
-  if (it == segs_.begin()) return;
-  --it;
-  if (it->first == addr || it->second.end <= addr) return;
+DepRegistry::Map::iterator DepRegistry::add_segment(Map::iterator hint, VAddr begin,
+                                                    Segment seg) {
+  const auto it = segs_.emplace_hint(hint, begin, std::move(seg));
+  index_.insert(begin, it);
+  return it;
+}
+
+DepRegistry::Map::iterator DepRegistry::first_at(VAddr addr) {
+  if (const Map::iterator* hit = index_.find(addr)) return *hit;
+  // No segment begins at `addr`: the one descent of this call.
+  const auto next = segs_.upper_bound(addr);
+  if (next == segs_.begin()) return next;
+  const auto covering = std::prev(next);
+  if (covering->second.end <= addr) return next;  // `addr` lies in a gap
   // Split [begin, end) into [begin, addr) + [addr, end).
-  Segment right = it->second;
-  it->second.end = addr;
-  segs_.emplace(addr, std::move(right));
+  Segment right = covering->second;
+  covering->second.end = addr;
+  return add_segment(next, addr, std::move(right));
 }
 
 void DepRegistry::register_dep(TaskId t, const DepSpec& dep, std::vector<TaskId>& preds) {
   if (dep.size == 0) return;
+  // The end is a segment begin once split, and ~VAddr{0} is the index's
+  // empty key: the range must end strictly below it, without wrapping.
+  RACCD_ASSERT(dep.size < ~VAddr{0} - dep.addr,
+               "dependence range wraps the address space");
   const VAddr begin = dep.addr;
   const VAddr end = dep.addr + dep.size;
-  split_at(begin);
-  split_at(end);
 
   const bool reads = dep.kind != DepKind::kOut;
   const bool writes = dep.kind != DepKind::kIn;
 
-  auto it = segs_.lower_bound(begin);
+  auto it = first_at(begin);
   VAddr cursor = begin;
   while (cursor < end) {
     if (it == segs_.end() || it->first > cursor) {
@@ -38,14 +52,19 @@ void DepRegistry::register_dep(TaskId t, const DepSpec& dep, std::vector<TaskId>
       } else {
         fresh.readers.push_back(t);
       }
-      it = segs_.emplace_hint(it, cursor, std::move(fresh));
-      ++it;
+      add_segment(it, cursor, std::move(fresh));
       cursor = gap_end;
       continue;
     }
     RACCD_DEBUG_ASSERT(it->first == cursor, "segment map lost alignment");
     Segment& seg = it->second;
-    RACCD_DEBUG_ASSERT(seg.end <= end || seg.end > cursor, "split_at failed");
+    if (seg.end > end) {
+      // The range ends inside this segment: split off [end, seg.end) with
+      // its history before this task touches [cursor, end).
+      Segment tail = seg;
+      seg.end = end;
+      add_segment(std::next(it), end, std::move(tail));
+    }
     if (seg.last_writer != kNoTask && seg.last_writer != t) {
       preds.push_back(seg.last_writer);  // RAW or WAW
     }

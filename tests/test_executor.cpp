@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "raccd/apps/registry.hpp"
 #include "raccd/exec/progress.hpp"
 #include "raccd/exec/sweep_executor.hpp"
 #include "raccd/exec/work_steal_pool.hpp"
@@ -401,13 +403,60 @@ TEST(SweepExecutor, RunOneCheckedReportsInsteadOfAborting) {
   EXPECT_GT(stats->cycles, 0u);
 }
 
+// Two workloads that order a -j2 sweep deterministically: "gate-good" opens
+// a gate as it is created, then runs as histo; "gate-bad" waits at the gate
+// and then fails to create. So the failure that cancels the queue always
+// comes after the good spec has started, however the workers are timed.
+struct StartGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = false;
+};
+StartGate& start_gate() {
+  static StartGate gate;
+  return gate;
+}
+
+const WorkloadRegistrar kGateGood{{
+    "gate-good",
+    "test: histo that opens the start gate as it is created",
+    "test",
+    ParamSchema(),
+    [](const AppConfig& cfg) -> std::unique_ptr<App> {
+      {
+        const std::lock_guard<std::mutex> lock(start_gate().mutex);
+        start_gate().open = true;
+      }
+      start_gate().cv.notify_all();
+      return WorkloadRegistry::instance().find("histo")->factory(cfg);
+    },
+}};
+
+const WorkloadRegistrar kGateBad{{
+    "gate-bad",
+    "test: waits for the start gate, then fails to create",
+    "test",
+    ParamSchema(),
+    [](const AppConfig&) -> std::unique_ptr<App> {
+      std::unique_lock<std::mutex> lock(start_gate().mutex);
+      // Bounded so a broken pool fails the test instead of hanging it.
+      start_gate().cv.wait_for(lock, std::chrono::seconds(60),
+                               [] { return start_gate().open; });
+      return nullptr;
+    },
+}};
+
 TEST(SweepExecutor, FailedSpecIsCollectedAndSweepDrains) {
+  {
+    const std::lock_guard<std::mutex> lock(start_gate().mutex);
+    start_gate().open = false;
+  }
   std::vector<RunSpec> specs;
   RunSpec good;
-  good.app = "histo";
+  good.app = "gate-good";
   good.size = SizeClass::kTiny;
   RunSpec bad = good;
-  bad.app = "no-such-workload";
+  bad.app = "gate-bad";
   specs.push_back(good);
   specs.push_back(bad);
   RunOptions opts;
@@ -418,13 +467,59 @@ TEST(SweepExecutor, FailedSpecIsCollectedAndSweepDrains) {
   ASSERT_EQ(executor.failures().size(), 1u);
   EXPECT_EQ(executor.failures()[0].key, bad.key());
   EXPECT_NE(executor.failures()[0].error.find("cannot run"), std::string::npos);
-  // The failed slot keeps zeroed stats; in-flight good runs drained normally
-  // (the good spec may or may not have been issued before the failure
-  // cancelled the queue under -j2 timing — with 2 workers and 2 specs both
-  // are issued immediately, so it completes).
+  // The failed slot keeps zeroed stats; the good run was in flight when the
+  // failure cancelled the queue, so it drained normally.
   ASSERT_EQ(results.size(), 2u);
   EXPECT_GT(results[0].cycles, 0u);
   EXPECT_EQ(results[1].cycles, 0u);
+  EXPECT_EQ(executor.statuses(),
+            (std::vector<SlotStatus>{SlotStatus::kRan, SlotStatus::kFailed}));
+  EXPECT_TRUE(executor.dropped().empty());
+}
+
+TEST(SweepExecutor, CancelledSpecsAreMarkedDroppedAndListed) {
+  // Serial sweep: the failing first spec cancels the rest before they start.
+  RunSpec bad;
+  bad.app = "no-such-workload";
+  bad.size = SizeClass::kTiny;
+  RunSpec good = bad;
+  good.app = "histo";
+  RunSpec good_dup = good;
+  const std::vector<RunSpec> specs{bad, good, good_dup};
+  RunOptions opts;
+  opts.jobs = 1;
+  opts.use_cache = false;
+  opts.verbose = true;
+  SweepExecutor executor(opts);
+  testing::internal::CaptureStderr();
+  const auto results = executor.run(specs);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(executor.failures().size(), 1u);
+  EXPECT_EQ(executor.statuses(),
+            (std::vector<SlotStatus>{SlotStatus::kFailed, SlotStatus::kDropped,
+                                     SlotStatus::kDropped}));
+  EXPECT_EQ(executor.dropped(), std::vector<std::string>{good.key()});
+  EXPECT_EQ(results[1].cycles, 0u);
+  EXPECT_NE(err.find("dropped: " + good.key()), std::string::npos) << err;
+}
+
+TEST(SweepExecutor, OutOfShardSpecsAreMarkedNotDropped) {
+  RunSpec a;
+  a.app = "histo";
+  a.size = SizeClass::kTiny;
+  RunSpec b = a;
+  b.seed = a.seed + 1;
+  RunOptions opts;
+  opts.jobs = 1;
+  opts.use_cache = false;
+  opts.shard_index = 0;
+  opts.shard_count = 2;
+  SweepExecutor executor(opts);
+  const auto results = executor.run({a, b});
+  EXPECT_EQ(executor.statuses(),
+            (std::vector<SlotStatus>{SlotStatus::kRan, SlotStatus::kOtherShard}));
+  EXPECT_TRUE(executor.dropped().empty());
+  EXPECT_GT(results[0].cycles, 0u);
 }
 
 TEST(SweepExecutorDeathTest, RunAllReportsFailingKeyThenAborts) {

@@ -1,4 +1,4 @@
-// Flat-structure suite: the hot-path structures (PagedLineMap, OpenPageMap,
+// Flat-structure suite: the hot-path structures (PagedLineMap, OpenAddrMap,
 // SoA tag probes, sorted+memo NCRT) are host-side optimizations only — the
 // modelled machine must be bit-for-bit unchanged. Two layers here:
 //
@@ -127,6 +127,34 @@ TEST(OpenPageMap, BackwardShiftKeepsCollidedKeysFindable) {
     }
     EXPECT_EQ(m.size(), ref.size());
   }
+}
+
+TEST(OpenAddrMap, GrowsPastThreeQuartersLoadAndKeepsEveryKey) {
+  // The dependence registry's shape: 64-bit address keys, wide values, an
+  // entry count unknown up front. Growth must rehash every entry.
+  OpenAddrMap<VAddr, std::uint64_t> m;
+  EXPECT_EQ(m.capacity(), 16u);
+  std::unordered_map<VAddr, std::uint64_t> ref;
+  Rng rng(13);
+  while (ref.size() < 5000) {
+    const VAddr key = rng.next_below(1ull << 40) * 8;
+    if (ref.count(key) != 0) continue;
+    m.insert(key, key ^ 0xABCDu);
+    ref[key] = key ^ 0xABCDu;
+    ASSERT_LE(m.size() * 4, m.capacity() * 3);
+  }
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(m.capacity(), 8192u);  // 5000 entries: the first power of two at <= 75%
+  for (const auto& [key, value] : ref) {
+    ASSERT_NE(m.find(key), nullptr);
+    EXPECT_EQ(*m.find(key), value);
+  }
+  EXPECT_EQ(m.find(12345), nullptr);
+  // A table sized for its entries up front (the TLB index) never grows.
+  OpenPageMap fixed(64);
+  const std::uint32_t cap = fixed.capacity();
+  for (PageNum p = 0; p < 64; ++p) fixed.insert(p, static_cast<std::uint32_t>(p));
+  EXPECT_EQ(fixed.capacity(), cap);
 }
 
 // ---------------------------------------------------------------------------
