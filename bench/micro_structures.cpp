@@ -10,6 +10,7 @@
 #include "raccd/core/ncrt.hpp"
 #include "raccd/dram/dram.hpp"
 #include "raccd/mem/page_table.hpp"
+#include "raccd/mem/sim_memory.hpp"
 #include "raccd/runtime/dep_registry.hpp"
 #include "raccd/tlb/tlb.hpp"
 
@@ -48,6 +49,56 @@ void BM_TlbAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TlbAccess);
+
+void BM_TlbReplayStream(benchmark::State& state) {
+  // The replay loop's translation pattern: 16 cores' page streams
+  // interleaved one access at a time, each core on its own 256-entry TLB.
+  // About 27% of a core's accesses repeat its previous page (the same-page
+  // filter); the rest spread over a 192-page working set with a 1% tail of
+  // far pages, so most lookups hit the index and a few walk and evict.
+  constexpr std::uint32_t kCores = 16;
+  constexpr std::size_t kStream = 4096;  // accesses per core, replayed cyclically
+  constexpr PageNum kFar = 1 << 14;
+  PageTable pt;
+  for (PageNum v = 0; v < kCores * kFar; ++v) pt.map(v, v);
+  std::vector<Tlb> tlbs(kCores, Tlb(256));
+  std::vector<PageNum> stream(kCores * kStream);
+  Rng rng(8);
+  for (std::uint32_t c = 0; c < kCores; ++c) {
+    const PageNum base = c * kFar;
+    PageNum last = base;
+    for (std::size_t i = 0; i < kStream; ++i) {
+      const std::uint64_t roll = rng.next_below(100);
+      if (roll >= 27) last = base + (roll == 99 ? rng.next_below(kFar) : rng.next_below(192));
+      stream[i * kCores + c] = last;
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tlbs[i % kCores].access(stream[i], pt));
+    if (++i == stream.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbReplayStream);
+
+void BM_SimMemoryTypedRead(benchmark::State& state) {
+  // TaskContext::load's functional half: 8-byte typed reads at scattered
+  // aligned addresses of a 4 MB arena (four 1 MB host chunks).
+  SimMemory mem(1 << 12, AllocPolicy::kContiguous);
+  constexpr std::uint64_t kWords = (4 << 20) / 8;
+  const VAddr base = mem.alloc_array<double>(kWords);
+  std::vector<VAddr> addrs(4096);
+  Rng rng(9);
+  for (VAddr& a : addrs) a = base + rng.next_below(kWords) * 8;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mem.read<double>(addrs[i]));
+    i = (i + 1) & (addrs.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimMemoryTypedRead);
 
 void BM_MemVersionFlat(benchmark::State& state) {
   // The memory version map access pattern of a replay: write a line on

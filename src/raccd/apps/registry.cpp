@@ -118,7 +118,11 @@ std::unique_ptr<App> WorkloadRegistry::create(std::string_view name,
     }
     return nullptr;
   }
-  return w->factory(cfg);
+  std::unique_ptr<App> app = w->factory(cfg);
+  if (app == nullptr && error != nullptr) {
+    *error = strprintf("workload '%s': factory returned no app", w->name.c_str());
+  }
+  return app;
 }
 
 std::string parse_workload_ref(std::string_view ref, std::string& name,

@@ -14,24 +14,6 @@ L1Cache::L1Cache(const L1Geometry& geo)
   tags_.assign(static_cast<std::size_t>(sets_) * ways_, kNoTag);
 }
 
-L1Line* L1Cache::find(LineAddr line) noexcept {
-  const std::uint32_t set = set_of(line);
-  const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (tags[w] == line) return &at(set, w);
-  }
-  return nullptr;
-}
-
-const L1Line* L1Cache::find(LineAddr line) const noexcept {
-  return const_cast<L1Cache*>(this)->find(line);
-}
-
-void L1Cache::touch(const L1Line& l) noexcept {
-  const std::uint32_t set = set_of(l.line);
-  repl_.touch(set, static_cast<std::uint32_t>(&l - &at(set, 0)));
-}
-
 L1Line L1Cache::fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version,
                      L1Line** filled) {
   RACCD_DEBUG_ASSERT(find(line) == nullptr, "fill of already-resident line");

@@ -58,11 +58,23 @@ class L1Cache {
   }
 
   /// Find a valid line; nullptr on miss. Does not update replacement state.
-  [[nodiscard]] L1Line* find(LineAddr line) noexcept;
-  [[nodiscard]] const L1Line* find(LineAddr line) const noexcept;
+  [[nodiscard]] L1Line* find(LineAddr line) noexcept {
+    const std::uint32_t set = set_of(line);
+    const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (tags[w] == line) return &at(set, w);
+    }
+    return nullptr;
+  }
+  [[nodiscard]] const L1Line* find(LineAddr line) const noexcept {
+    return const_cast<L1Cache*>(this)->find(line);
+  }
 
   /// Update replacement state for an access to this (resident) line.
-  void touch(const L1Line& l) noexcept;
+  void touch(const L1Line& l) noexcept {
+    const std::uint32_t set = set_of(l.line);
+    repl_.touch(set, static_cast<std::uint32_t>(&l - &at(set, 0)));
+  }
 
   /// Install `line`; returns the displaced valid victim (valid=false if the
   /// set had a free way). The caller handles victim writeback/notification.

@@ -31,7 +31,28 @@ class ReplacementState {
   ReplacementState(ReplPolicy policy, std::uint32_t sets, std::uint32_t ways);
 
   /// Record an access to (set, way).
-  void touch(std::uint32_t set, std::uint32_t way) noexcept;
+  void touch(std::uint32_t set, std::uint32_t way) noexcept {
+    RACCD_DEBUG_ASSERT(set < sets_ && way < ways_, "touch out of range");
+    if (policy_ != ReplPolicy::kTreePlru) {
+      touch_aged(set, way);
+      return;
+    }
+    if (levels_ == 0) return;
+    // Walk root->leaf; at each level point the tree bit AWAY from `way`
+    // (victim() follows the bits: 0 = left, 1 = right).
+    std::uint64_t bits = tree_[set];
+    std::uint32_t node = 0;  // heap-style index, root = 0
+    for (unsigned level = 0; level < levels_; ++level) {
+      const std::uint32_t bit = (way >> (levels_ - 1 - level)) & 1u;
+      if (bit != 0) {
+        bits &= ~(1ULL << node);  // way is in right subtree -> point left (0)
+      } else {
+        bits |= (1ULL << node);  // way is in left subtree -> point right (1)
+      }
+      node = 2 * node + 1 + bit;
+    }
+    tree_[set] = bits;
+  }
 
   /// Way to evict in `set` (callers prefer invalid ways before asking).
   [[nodiscard]] std::uint32_t victim(std::uint32_t set) const noexcept;
@@ -40,6 +61,9 @@ class ReplacementState {
   [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
 
  private:
+  /// touch() for the age-stamp policies (LRU, FIFO).
+  void touch_aged(std::uint32_t set, std::uint32_t way) noexcept;
+
   ReplPolicy policy_;
   std::uint32_t sets_;
   std::uint32_t ways_;

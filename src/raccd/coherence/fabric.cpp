@@ -633,7 +633,7 @@ AccessOutcome Fabric::access(CoreId c, LineAddr line, L1Line* hit, bool is_write
   if (hit != nullptr) {
     ++st().l1_hits;
     l1c.touch(*hit);
-    classifier_.record(line, hit->nc);
+    RACCD_DEBUG_ASSERT(classifier_.seen(line, hit->nc), "L1 hit on an unclassified line");
     if (!is_write) {
       if (checker_ != nullptr) checker_->on_load(line, hit->version);
       return AccessOutcome{lat, true, false};

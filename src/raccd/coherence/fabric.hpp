@@ -81,9 +81,18 @@ struct FabricConfig {
 
 /// Per-line classification for paper Fig. 2: a block counts as non-coherent
 /// iff it is touched and never accessed coherently.
+///
+/// The fabric records on L1 misses only. An L1 hit needs no record: the
+/// line's one fill was preceded by record(line, nc), and a resident line's
+/// nc bit never changes, so the hit's bit is already set (seen() checks it
+/// in debug builds).
 class BlockClassifier {
  public:
   void record(LineAddr line, bool nc);
+  /// True once record(line, nc) has run for this line and this nc value.
+  [[nodiscard]] bool seen(LineAddr line, bool nc) const noexcept {
+    return line < flags_.size() && (flags_[line] & (nc ? kSawNc : kSawCoh)) != 0;
+  }
   [[nodiscard]] std::uint64_t touched_blocks() const noexcept;
   [[nodiscard]] std::uint64_t coherent_blocks() const noexcept;
   [[nodiscard]] std::uint64_t noncoherent_blocks() const noexcept;

@@ -14,8 +14,7 @@ AdrController::AdrController(Fabric& fabric, const AdrConfig& cfg)
   min_sets_ = std::max(1u, total / std::max(1u, cfg_.min_sets_divisor));
 }
 
-void AdrController::poll(Cycle now) {
-  if (!cfg_.enabled) return;
+void AdrController::poll_dirty(Cycle now) {
   std::uint64_t mask = fabric_.take_dir_occupancy_dirty_mask();
   if (mask == 0) return;
   ++stats_.polls;

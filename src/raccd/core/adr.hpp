@@ -30,7 +30,9 @@ class AdrController {
 
   /// Check banks whose occupancy changed since the last poll and resize any
   /// that crossed a threshold. Call between accesses (never mid-transaction).
-  void poll(Cycle now);
+  void poll(Cycle now) {
+    if (cfg_.enabled) poll_dirty(now);
+  }
 
   /// Evaluate every bank regardless of recent activity. The machine calls
   /// this at task completion boundaries so banks with *no* directory traffic
@@ -41,6 +43,7 @@ class AdrController {
   [[nodiscard]] const AdrConfig& config() const noexcept { return cfg_; }
 
  private:
+  void poll_dirty(Cycle now);
   void consider_bank(BankId b, Cycle now);
 
   Fabric& fabric_;

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "raccd/common/assert.hpp"
@@ -41,15 +42,31 @@ class SimMemory {
   }
 
   // -- Functional access (host side; no timing) ------------------------------
+  // Typed accesses that fit in one host chunk (all but a chunk-straddling
+  // one) are a fixed-size memcpy inline; the rest take copy_out/copy_in.
   template <typename T>
   [[nodiscard]] T read(VAddr va) const {
+    static_assert(std::is_trivially_copyable_v<T>);
     T out;
-    copy_out(va, &out, sizeof(T));
+    if (chunk_offset(va) + sizeof(T) <= kChunkBytes) {
+      RACCD_DEBUG_ASSERT(va >= kArenaBase && va + sizeof(T) <= next_,
+                         "functional read out of arena");
+      std::memcpy(&out, chunks_[chunk_index(va)].get() + chunk_offset(va), sizeof(T));
+    } else {
+      copy_out(va, &out, sizeof(T));
+    }
     return out;
   }
   template <typename T>
   void write(VAddr va, const T& value) {
-    copy_in(va, &value, sizeof(T));
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (chunk_offset(va) + sizeof(T) <= kChunkBytes) {
+      RACCD_DEBUG_ASSERT(va >= kArenaBase && va + sizeof(T) <= next_,
+                         "functional write out of arena");
+      std::memcpy(chunks_[chunk_index(va)].get() + chunk_offset(va), &value, sizeof(T));
+    } else {
+      copy_in(va, &value, sizeof(T));
+    }
   }
   void copy_out(VAddr va, void* dst, std::uint64_t n) const;
   void copy_in(VAddr va, const void* src, std::uint64_t n);

@@ -42,7 +42,7 @@ std::string SweepProfile::json_fields() const {
 }
 
 SweepProfile& last_sweep_profile() {
-  static SweepProfile profile;
+  thread_local SweepProfile profile;
   return profile;
 }
 

@@ -66,9 +66,11 @@ struct SweepProfile {
   [[nodiscard]] std::string json_fields() const;
 };
 
-/// The most recent sweep's profile (process-wide; sweeps never overlap).
-/// SweepExecutor::run fills it; bench binaries read it to merge into their
-/// BENCH files and grid export timing accumulates into export_s.
+/// The most recent sweep's profile on the calling thread. SweepExecutor::run
+/// fills it on the thread that called run (its pool workers never touch it);
+/// bench binaries read it there to merge into their BENCH files and grid
+/// export timing accumulates into export_s. One object per thread, so
+/// sweeps run concurrently from different threads never share it.
 [[nodiscard]] SweepProfile& last_sweep_profile();
 
 }  // namespace raccd::obs

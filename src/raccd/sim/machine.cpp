@@ -459,7 +459,12 @@ void Machine::start_task(CoreId c, TaskId t) {
 
 void Machine::replay_record(CoreId c) {
   CoreState& cs = cores_[c];
-  const AccessRecord& r = cs.trace.records()[cs.cursor++];
+  const AccessRecord* const recs = cs.trace.records().data();
+  const AccessRecord& r = recs[cs.cursor++];
+  // The next step usually goes to another core (on jacobi, 99.98% of steps
+  // switch core), so by the time this core reads its next record it has
+  // often left the host cache: fetch it now.
+  __builtin_prefetch(recs + cs.cursor);
   cs.clock += r.compute_gap;
   cs.busy_cycles += r.compute_gap;
   accesses_replayed_ += r.repeat;

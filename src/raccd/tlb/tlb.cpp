@@ -1,59 +1,22 @@
 #include "raccd/tlb/tlb.hpp"
 
+#include <algorithm>
+
 #include "raccd/common/assert.hpp"
 
 namespace raccd {
 
 Tlb::Tlb(std::uint32_t capacity)
     : capacity_(capacity), flat_(capacity) {
-  RACCD_ASSERT(capacity_ > 0, "TLB needs at least one entry");
-  entries_.resize(capacity_);
+  RACCD_ASSERT(capacity_ > 0 && capacity_ <= kUse, "TLB needs 1 to 65536 entries");
+  vpages_.resize(capacity_);
+  pframes_.resize(capacity_);
+  stamps_.resize(capacity_);
   free_.reserve(capacity_);
   for (std::uint32_t i = 0; i < capacity_; ++i) free_.push_back(capacity_ - 1 - i);
 }
 
-void Tlb::unlink(std::uint32_t slot) noexcept {
-  Entry& e = entries_[slot];
-  if (e.prev != kNil) {
-    entries_[e.prev].next = e.next;
-  } else {
-    head_ = e.next;
-  }
-  if (e.next != kNil) {
-    entries_[e.next].prev = e.prev;
-  } else {
-    tail_ = e.prev;
-  }
-  e.prev = e.next = kNil;
-}
-
-void Tlb::push_front(std::uint32_t slot) noexcept {
-  Entry& e = entries_[slot];
-  e.prev = kNil;
-  e.next = head_;
-  if (head_ != kNil) entries_[head_].prev = slot;
-  head_ = slot;
-  if (tail_ == kNil) tail_ = slot;
-}
-
-Tlb::Result Tlb::access(PageNum vpage, const PageTable& pt) {
-  ++stats_.lookups;
-  if (vpage == last_vpage_) {
-    ++stats_.hits;
-    return Result{true, last_pframe_};
-  }
-  if (const std::uint32_t* found = flat_.find(vpage)) {
-    ++stats_.hits;
-    const std::uint32_t slot = *found;
-    if (slot != head_) {
-      unlink(slot);
-      push_front(slot);
-    }
-    last_vpage_ = vpage;
-    last_pframe_ = entries_[slot].pframe;
-    return Result{true, entries_[slot].pframe};
-  }
-  // Miss: walk the page table and install.
+Tlb::Result Tlb::miss(PageNum vpage, const PageTable& pt) {
   ++stats_.misses;
   const PageNum pframe = pt.frame_of(vpage);
   std::uint32_t slot;
@@ -61,14 +24,25 @@ Tlb::Result Tlb::access(PageNum vpage, const PageTable& pt) {
     slot = free_.back();
     free_.pop_back();
   } else {
-    slot = tail_;
+    // Full: every slot is valid, so the smallest stamp is the LRU entry's
+    // and carries its slot. Four independent running minima keep the
+    // branch-free reduction from serializing on one compare chain.
+    std::uint64_t lo[4] = {~std::uint64_t{0}, ~std::uint64_t{0}, ~std::uint64_t{0},
+                           ~std::uint64_t{0}};
+    const std::uint64_t* s = stamps_.data();
+    std::uint32_t i = 0;
+    for (; i + 4 <= capacity_; i += 4) {
+      for (unsigned k = 0; k < 4; ++k) lo[k] = std::min(lo[k], s[i + k]);
+    }
+    for (; i < capacity_; ++i) lo[0] = std::min(lo[0], s[i]);
+    const std::uint64_t oldest = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
+    slot = static_cast<std::uint32_t>(oldest & (kUse - 1));
     ++stats_.evictions;
-    flat_.erase(entries_[slot].vpage);
-    unlink(slot);
+    flat_.erase(vpages_[slot]);
   }
-  entries_[slot].vpage = vpage;
-  entries_[slot].pframe = pframe;
-  push_front(slot);
+  vpages_[slot] = vpage;
+  pframes_[slot] = pframe;
+  stamp(slot);
   flat_.insert(vpage, slot);
   last_vpage_ = vpage;
   last_pframe_ = pframe;
@@ -79,25 +53,18 @@ bool Tlb::invalidate(PageNum vpage) {
   const std::uint32_t* found = flat_.find(vpage);
   if (found == nullptr) return false;
   ++stats_.shootdowns;
-  const std::uint32_t slot = *found;
-  unlink(slot);
-  free_.push_back(slot);
+  free_.push_back(*found);
   flat_.erase(vpage);
   if (last_vpage_ == vpage) last_vpage_ = ~PageNum{0};
   return true;
 }
 
 void Tlb::flush() {
-  // Walk the LRU chain (valid entries exactly), then reset the index
-  // wholesale.
-  for (std::uint32_t slot = head_; slot != kNil;) {
-    const std::uint32_t next = entries_[slot].next;
-    entries_[slot].prev = entries_[slot].next = kNil;
-    free_.push_back(slot);
-    slot = next;
-  }
+  // Every slot becomes free; stale stamps are never read, since the victim
+  // scan only runs once all slots are in use again.
+  free_.clear();
+  for (std::uint32_t i = 0; i < capacity_; ++i) free_.push_back(capacity_ - 1 - i);
   flat_.clear();
-  head_ = tail_ = kNil;
   last_vpage_ = ~PageNum{0};
 }
 

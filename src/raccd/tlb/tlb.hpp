@@ -47,7 +47,24 @@ class Tlb {
 
   /// Look up vpage; on miss, walk `pt` and install the translation (evicting
   /// the LRU entry if full). Result.hit reports whether the walk was needed.
-  Result access(PageNum vpage, const PageTable& pt);
+  Result access(PageNum vpage, const PageTable& pt) {
+    ++stats_.lookups;
+    // The last-accessed page already holds the newest stamp, so serving it
+    // without a new one leaves the LRU order unchanged.
+    if (vpage == last_vpage_) {
+      ++stats_.hits;
+      return Result{true, last_pframe_};
+    }
+    if (const std::uint32_t* found = flat_.find(vpage)) {
+      ++stats_.hits;
+      const std::uint32_t slot = *found;
+      stamp(slot);
+      last_vpage_ = vpage;
+      last_pframe_ = pframes_[slot];
+      return Result{true, last_pframe_};
+    }
+    return miss(vpage, pt);
+  }
 
   /// Invalidate one entry (TLB shootdown). Returns true if it was present.
   bool invalidate(PageNum vpage);
@@ -62,23 +79,30 @@ class Tlb {
   [[nodiscard]] const TlbStats& stats() const noexcept { return stats_; }
 
  private:
-  struct Entry {
-    PageNum vpage = 0;
-    PageNum pframe = 0;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-  };
-  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  /// Walk the page table and install vpage, evicting the LRU entry if full.
+  Result miss(PageNum vpage, const PageTable& pt);
 
-  void unlink(std::uint32_t slot) noexcept;
-  void push_front(std::uint32_t slot) noexcept;
+  // Exact LRU by use stamp: every access that is not a same-page repeat
+  // gives its slot a fresh stamp, a strictly increasing use count in the
+  // high bits over the slot index in the low kSlotBits. The least recently
+  // used entry holds the smallest stamp, whose low bits name its slot, so
+  // the full-TLB victim search is one min reduction over the contiguous
+  // stamp array. The 48-bit use count cannot wrap in any feasible run.
+  static constexpr unsigned kSlotBits = 16;
+  static constexpr std::uint64_t kUse = std::uint64_t{1} << kSlotBits;
+  void stamp(std::uint32_t slot) noexcept {
+    clock_ += kUse;
+    stamps_[slot] = clock_ | slot;
+  }
 
   std::uint32_t capacity_;
-  std::vector<Entry> entries_;          // slot storage
-  std::vector<std::uint32_t> free_;     // free slots
-  OpenPageMap flat_;                    // vpage -> slot index
-  std::uint32_t head_ = kNil;  // most recently used
-  std::uint32_t tail_ = kNil;  // least recently used
+  // Slot storage, one array per field.
+  std::vector<PageNum> vpages_;
+  std::vector<PageNum> pframes_;
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t clock_ = 0;  // use count << kSlotBits
+  std::vector<std::uint32_t> free_;  // free slots
+  OpenPageMap flat_;                 // vpage -> slot index
   // Single-entry filter for the common same-page-as-last-access case; keeps
   // host cost of the per-access timing lookup negligible.
   PageNum last_vpage_ = ~PageNum{0};

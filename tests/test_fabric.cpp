@@ -227,6 +227,38 @@ TEST_F(FabricTest, BankContentionSerializesConcurrentRequests) {
   (void)p1;
 }
 
+TEST_F(FabricTest, L1HitsLeaveTheBlockClassificationUnchanged) {
+  // Each line is classified once, by the miss that fills it; the hits that
+  // follow find its bit already set and record nothing.
+  const LineAddr nc_line = line_in_bank(2, 1);
+  const LineAddr coh_line = line_in_bank(3, 1);
+  EXPECT_FALSE(fabric_.access(0, nc_line, false, /*nc=*/true, t_++).l1_hit);
+  EXPECT_FALSE(load(0, coh_line).l1_hit);
+  const BlockClassifier& cls = fabric_.classifier();
+  EXPECT_TRUE(cls.seen(nc_line, true));
+  EXPECT_FALSE(cls.seen(nc_line, false));
+  EXPECT_TRUE(cls.seen(coh_line, false));
+  EXPECT_FALSE(cls.seen(coh_line, true));
+  EXPECT_EQ(cls.touched_blocks(), 2u);
+  EXPECT_EQ(cls.coherent_blocks(), 1u);
+  EXPECT_EQ(cls.noncoherent_blocks(), 1u);
+  for (int i = 0; i < 4; ++i) {
+    // The caller's nc argument is ignored on a hit: the resident line's bit
+    // decides, so even a mismatched one classifies nothing new.
+    for (const bool nc : {false, true}) {
+      for (const bool is_write : {false, true}) {
+        EXPECT_TRUE(fabric_.access(0, nc_line, is_write, nc, t_++).l1_hit);
+        EXPECT_TRUE(fabric_.access(0, coh_line, is_write, nc, t_++).l1_hit);
+      }
+    }
+  }
+  EXPECT_EQ(cls.touched_blocks(), 2u);
+  EXPECT_EQ(cls.coherent_blocks(), 1u);
+  EXPECT_EQ(cls.noncoherent_blocks(), 1u);
+  EXPECT_FALSE(cls.seen(nc_line, false));
+  EXPECT_FALSE(cls.seen(coh_line, true));
+}
+
 TEST_F(FabricTest, StatsAddCombines) {
   FabricStats a, b;
   a.l1_hits = 3;

@@ -69,6 +69,18 @@ TEST(Registry, DuplicateAndInvalidRegistrationsAreRejected) {
   EXPECT_EQ(reg.find("factoryless"), nullptr);
 }
 
+TEST(Registry, NullFactoryResultCarriesAReason) {
+  WorkloadRegistry reg;  // private instance: the process-wide one stays clean
+  WorkloadInfo empty;
+  empty.name = "hollow";
+  empty.factory = [](const AppConfig&) { return std::unique_ptr<App>{}; };
+  ASSERT_TRUE(reg.add(std::move(empty)));
+  std::string error;
+  EXPECT_EQ(reg.create("hollow", AppConfig{}, &error), nullptr);
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(error, "workload 'hollow': factory returned no app");
+}
+
 TEST(WorkloadParams, ParseAndCanonicalRoundTrip) {
   WorkloadParams p;
   EXPECT_EQ(WorkloadParams::parse("n=512,iters=16", p), "");

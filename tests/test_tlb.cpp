@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <utility>
+
+#include "raccd/common/rng.hpp"
 #include "raccd/mem/page_table.hpp"
 #include "raccd/tlb/tlb.hpp"
 
@@ -91,6 +96,95 @@ TEST_F(TlbTest, CapacityStress) {
   for (PageNum v = 1024 - 256; v < 1024; ++v) EXPECT_TRUE(tlb.contains(v));
   EXPECT_FALSE(tlb.contains(0));
 }
+
+/// Reference model: true LRU as an MRU-first std::list, no same-page filter.
+class ListLru {
+ public:
+  explicit ListLru(std::uint32_t capacity) : capacity_(capacity) {}
+
+  Tlb::Result access(PageNum vpage, const PageTable& pt) {
+    ++stats.lookups;
+    if (const auto it = find(vpage); it != lru_.end()) {
+      ++stats.hits;
+      lru_.splice(lru_.begin(), lru_, it);
+      return Tlb::Result{true, it->second};
+    }
+    ++stats.misses;
+    if (lru_.size() == capacity_) {
+      lru_.pop_back();
+      ++stats.evictions;
+    }
+    lru_.emplace_front(vpage, pt.frame_of(vpage));
+    return Tlb::Result{false, lru_.front().second};
+  }
+  bool invalidate(PageNum vpage) {
+    const auto it = find(vpage);
+    if (it == lru_.end()) return false;
+    lru_.erase(it);
+    ++stats.shootdowns;
+    return true;
+  }
+  void flush() { lru_.clear(); }
+  [[nodiscard]] bool contains(PageNum vpage) const {
+    return std::any_of(lru_.begin(), lru_.end(),
+                       [vpage](const auto& e) { return e.first == vpage; });
+  }
+  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(lru_.size()); }
+
+  TlbStats stats;
+
+ private:
+  std::list<std::pair<PageNum, PageNum>>::iterator find(PageNum vpage) {
+    return std::find_if(lru_.begin(), lru_.end(),
+                        [vpage](const auto& e) { return e.first == vpage; });
+  }
+  std::uint32_t capacity_;
+  std::list<std::pair<PageNum, PageNum>> lru_;
+};
+
+class TlbDifferential : public TlbTest,
+                        public ::testing::WithParamInterface<std::uint32_t> {};
+
+TEST_P(TlbDifferential, MatchesListLruUnderMixedStreams) {
+  const std::uint32_t capacity = GetParam();
+  // Pages from a range a little over twice the capacity: hits, misses and
+  // capacity evictions all stay common.
+  const PageNum pages = 2 * capacity + 3;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Tlb tlb(capacity);
+    ListLru ref(capacity);
+    Rng rng(seed * 7919 + capacity);
+    PageNum last = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t roll = rng.next_below(1000);
+      const PageNum vpage = roll < 300 ? last : rng.next_below(pages);
+      if (roll >= 300 && roll < 340) {
+        ASSERT_EQ(tlb.invalidate(vpage), ref.invalidate(vpage)) << "step " << step;
+      } else if (roll >= 340 && roll < 345) {
+        tlb.flush();
+        ref.flush();
+      } else {
+        const Tlb::Result got = tlb.access(vpage, pt_);
+        const Tlb::Result want = ref.access(vpage, pt_);
+        ASSERT_EQ(got.hit, want.hit) << "step " << step << " page " << vpage;
+        ASSERT_EQ(got.pframe, want.pframe) << "step " << step;
+        last = vpage;
+      }
+      const TlbStats& s = tlb.stats();
+      ASSERT_EQ(s.lookups, ref.stats.lookups) << "step " << step;
+      ASSERT_EQ(s.hits, ref.stats.hits) << "step " << step;
+      ASSERT_EQ(s.misses, ref.stats.misses) << "step " << step;
+      ASSERT_EQ(s.shootdowns, ref.stats.shootdowns) << "step " << step;
+      ASSERT_EQ(s.evictions, ref.stats.evictions) << "step " << step;
+      ASSERT_EQ(tlb.size(), ref.size()) << "step " << step;
+      for (PageNum p = 0; p < pages; ++p) {
+        ASSERT_EQ(tlb.contains(p), ref.contains(p)) << "step " << step << " page " << p;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, TlbDifferential, ::testing::Values(1u, 2u, 7u, 256u));
 
 }  // namespace
 }  // namespace raccd
